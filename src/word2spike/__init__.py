@@ -1,6 +1,6 @@
 """Word2Spike: rate-coded Poisson spike codec for word embeddings."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .corpus_io import (
     AnalogyQuad,

@@ -23,6 +23,7 @@ import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
+from pathlib import Path
 
 import numpy as np
 
@@ -67,19 +68,6 @@ def _env(name: str) -> str | None:
     return os.environ.get(ENV_PREFIX + name.upper())
 
 
-def _atomic_write_text(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".w2s-", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _atomic_writer(path: str, write_fn) -> None:
     """Run write_fn against a temp path, then atomically rename into place."""
     directory = os.path.dirname(os.path.abspath(path))
@@ -111,7 +99,10 @@ def write_manifest(out_dir: str, cfg: CodecConfig | None, inputs: dict[str, str]
         "seed": cfg.seed if cfg is not None else None,
         "inputs": {os.path.basename(p): _sha256(p) for p in inputs.values() if p},
     }
-    _atomic_write_text(os.path.join(out_dir, "manifest.json"), json.dumps(manifest, indent=2) + "\n")
+    text = json.dumps(manifest, indent=2) + "\n"
+    _atomic_writer(
+        os.path.join(out_dir, "manifest.json"), lambda tmp: Path(tmp).write_text(text, encoding="utf-8")
+    )
 
 
 def build_config(args) -> CodecConfig:
@@ -174,13 +165,11 @@ def cmd_quantize(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     out = os.path.join(args.out_dir, "ternary.txt")
     gammas = os.path.join(args.out_dir, "gammas.txt")
-    def write_gammas(tmp: str) -> None:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            for w, g in zip(ternary.words, ternary.gammas):
-                fh.write(f"{w} {float(g)!r}\n")
 
-    _atomic_writer(out, lambda tmp: save_ternary(ternary, tmp))
-    _atomic_writer(gammas, write_gammas)
+    def write(tmp: str) -> None:
+        _atomic_writer(gammas, lambda gamma_tmp: save_ternary(ternary, tmp, gamma_path=gamma_tmp))
+
+    _atomic_writer(out, write)
     write_manifest(args.out_dir, None, {"embeddings": args.embeddings, "wordlist": args.wordlist})
     print(f"quantized {len(ternary)} words (dim {ternary.dim}), {missing} wordlist misses")
     return EXIT_OK
@@ -300,8 +289,10 @@ def cmd_analyze(args) -> int:
             suggested_threshold_error=best_err,
             total_error=analysis.total_error,
         )
-        _atomic_write_text(
-            os.path.join(args.out_dir, "analysis.json"), json.dumps(payload, indent=2) + "\n"
+        text = json.dumps(payload, indent=2) + "\n"
+        _atomic_writer(
+            os.path.join(args.out_dir, "analysis.json"),
+            lambda tmp: Path(tmp).write_text(text, encoding="utf-8"),
         )
         write_manifest(args.out_dir, cfg, {})
     return EXIT_OK
@@ -315,8 +306,11 @@ def cmd_eval(args) -> int:
     report = full_report(es, cfg, pairs=pairs, quads=quads)
 
     os.makedirs(args.out_dir, exist_ok=True)
-    _atomic_write_text(os.path.join(args.out_dir, "report.json"), report.to_json() + "\n")
-    _atomic_write_text(os.path.join(args.out_dir, "report.txt"), report.to_table() + "\n")
+    for name, text in (("report.json", report.to_json()), ("report.txt", report.to_table())):
+        _atomic_writer(
+            os.path.join(args.out_dir, name),
+            lambda tmp: Path(tmp).write_text(text + "\n", encoding="utf-8"),
+        )
     write_manifest(
         args.out_dir,
         cfg,

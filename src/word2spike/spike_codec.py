@@ -3,11 +3,12 @@ exact statistical analysis of decode errors.
 
 Ternary codes map to firing rates (+1 -> rate_plus, 0 -> 0 Hz,
 -1 -> rate_minus).  Stochastic mode draws each dimension as an exact
-homogeneous Poisson process over the observation window via exponential
-inter-arrival times; lossless mode emits exactly round(rate * window)
-evenly spaced spikes, which guarantees perfect decode.  Decoding is purely
-count-based: zero spikes -> 0, count >= ceil(threshold * window) -> +1,
-anything else -> -1.
+homogeneous Poisson process over the observation window: a Poisson(rate *
+window) spike count, then that many sorted iid uniform spike times within
+the window.  Lossless mode emits exactly round(rate * window) evenly spaced
+spikes, which guarantees perfect decode.  Decoding is purely count-based:
+zero spikes -> 0, count >= ceil(threshold * window) -> +1, anything else
+-> -1.
 
 All error probabilities are computed by exact Poisson summation, never a
 normal approximation.
@@ -15,6 +16,7 @@ normal approximation.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -136,34 +138,56 @@ class RateVector:
         return len(self.rates_hz)
 
 
-@dataclass(frozen=True)
 class SpikeRaster:
-    """Per-dimension spike times within [0, window_s), sorted ascending."""
+    """Spike times of one word, stored flat.
 
-    window_s: float
-    trains: tuple[np.ndarray, ...]
+    ``times`` holds every spike time within [0, window_s), grouped by
+    dimension in order and ascending within each dimension; ``counts()[i]``
+    is the number of spikes dimension i owns.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "trains", tuple(self.trains))
+    __slots__ = ("window_s", "times", "_counts")
+
+    def __init__(self, window_s: float, times, counts):
+        times = np.asarray(times, dtype=np.float64)
+        counts = np.asarray(counts, dtype=np.int64)
+        if times.ndim != 1 or counts.ndim != 1:
+            raise ValueError("times and counts must be one-dimensional")
+        if np.any(counts < 0) or int(counts.sum()) != len(times):
+            raise ValueError("counts must be nonnegative and sum to the number of spike times")
+        self.window_s = window_s
+        self.times = times
+        self._counts = counts
 
     def __len__(self) -> int:
-        return len(self.trains)
+        return len(self._counts)
 
     def counts(self) -> np.ndarray:
-        return np.fromiter((len(t) for t in self.trains), dtype=np.int64, count=len(self.trains))
+        return self._counts
+
+    @property
+    def trains(self) -> tuple[np.ndarray, ...]:
+        """Per-dimension views into ``times``."""
+        if len(self._counts) == 0:
+            return ()
+        return tuple(np.split(self.times, np.cumsum(self._counts[:-1])))
 
     def validate(self) -> None:
         """Full invariant check; O(total spikes), kept out of the hot path."""
-        for i, train in enumerate(self.trains):
-            t = np.asarray(train)
-            if t.size == 0:
-                continue
-            if not np.all(np.isfinite(t)):
-                raise ValueError(f"dimension {i}: non-finite spike time")
-            if t[0] < 0 or t[-1] >= self.window_s:
-                raise ValueError(f"dimension {i}: spike time outside [0, window)")
-            if np.any(np.diff(t) <= 0):
-                raise ValueError(f"dimension {i}: spike times not strictly increasing")
+        t = self.times
+        dims = np.repeat(np.arange(len(self._counts)), self._counts)
+        checks = (
+            (~np.isfinite(t), "non-finite spike time"),
+            ((t < 0) | (t >= self.window_s), "spike time outside [0, window)"),
+        )
+        for bad, message in checks:
+            if bad.any():
+                raise ValueError(f"dimension {dims[np.argmax(bad)]}: {message}")
+        repeats = (dims[1:] == dims[:-1]) & (np.diff(t) <= 0)
+        if repeats.any():
+            raise ValueError(
+                f"dimension {dims[1:][np.argmax(repeats)]}: spike times not strictly increasing"
+            )
 
 
 def rates_from_ternary(t: TernaryVector | np.ndarray, cfg: CodecConfig) -> RateVector:
@@ -175,57 +199,34 @@ def rates_from_ternary(t: TernaryVector | np.ndarray, cfg: CodecConfig) -> RateV
     return RateVector(rates)
 
 
-_EMPTY = np.empty(0, dtype=np.float64)
-
-
-def _poisson_train(rng: np.random.Generator, rate_hz: float, window_s: float) -> np.ndarray:
-    """Exact homogeneous Poisson process: cumulative exponential gaps."""
-    if rate_hz <= 0:
-        return _EMPTY
-    expected = rate_hz * window_s
-    block = max(16, int(expected + 10.0 * math.sqrt(expected) + 10.0))
-    times = np.cumsum(rng.exponential(1.0 / rate_hz, size=block))
-    while times[-1] < window_s:
-        extra = np.cumsum(rng.exponential(1.0 / rate_hz, size=block)) + times[-1]
-        times = np.concatenate([times, extra])
-    return times[times < window_s]
-
-
-def _even_train(count: int, window_s: float) -> np.ndarray:
-    if count <= 0:
-        return _EMPTY
-    return (np.arange(count, dtype=np.float64) + 0.5) * (window_s / count)
-
-
 def generate_raster(rates: RateVector, cfg: CodecConfig, stream_id: int) -> SpikeRaster:
     """Generate one spike raster for a rate vector.
 
-    Stochastic mode uses an independent RNG stream per (seed, stream_id,
-    dimension), so results do not depend on word processing order or
-    parallelism.  Lossless mode emits round(rate * window) evenly spaced
-    spikes per dimension.
+    Stochastic mode draws every dimension's count from Poisson(rate *
+    window), then places that many sorted iid Uniform[0, window) times: a
+    homogeneous Poisson process, by conditional uniformity.  It uses one
+    RNG stream per (seed, stream_id), so results do not depend on word
+    processing order or parallelism.  Lossless mode emits round(rate *
+    window) evenly spaced spikes per dimension.
     """
+    window = cfg.window_s
     if cfg.mode == "lossless":
-        # spike times depend only on the count, so share templates
-        cache: dict[int, np.ndarray] = {}
-        trains = []
-        for rate in rates.rates_hz:
-            count = int(round(rate * cfg.window_s))
-            train = cache.get(count)
-            if train is None:
-                train = _even_train(count, cfg.window_s)
-                cache[count] = train
-            trains.append(train)
-        return SpikeRaster(cfg.window_s, tuple(trains))
+        counts = np.rint(rates.rates_hz * window).astype(np.int64)
+        dims = np.repeat(np.arange(len(counts)), counts)
+        rank = np.arange(len(dims)) - (np.cumsum(counts) - counts)[dims]
+        return SpikeRaster(window, (rank + 0.5) * (window / counts[dims]), counts)
 
-    trains = []
-    for dim, rate in enumerate(rates.rates_hz):
-        if rate <= 0:
-            trains.append(_EMPTY)
-            continue
-        rng = np.random.default_rng([cfg.seed, stream_id, dim])
-        trains.append(_poisson_train(rng, rate, cfg.window_s))
-    return SpikeRaster(cfg.window_s, tuple(trains))
+    rng = np.random.default_rng([cfg.seed, stream_id])
+    counts = rng.poisson(rates.rates_hz * window)
+    times = rng.random(int(counts.sum())) * window
+    # random() < 1, but do not rely on the rounded product staying below window
+    np.minimum(times, np.nextafter(window, 0.0), out=times)
+    # sort by time, then stably by dimension, so each dimension's times
+    # ascend; dimension labels in the smallest integer type sort by radix
+    dims = np.repeat(np.arange(len(counts), dtype=np.min_scalar_type(len(counts))), counts)
+    by_time = np.argsort(times)
+    by_dim = by_time[np.argsort(dims[by_time], kind="stable")]
+    return SpikeRaster(window, times[by_dim], counts)
 
 
 def estimate_rates(raster: SpikeRaster) -> RateVector:
@@ -410,10 +411,12 @@ def write_raster_jsonl(path: str, words, rasters) -> None:
     """JSON Lines raster export: one record per word, times in ms (3 dp)."""
     with open(path, "w", encoding="utf-8") as fh:
         for word, raster in zip(words, rasters):
+            ms = np.round(raster.times * 1000.0, 3).tolist()
+            ends = np.cumsum(raster.counts()).tolist()
             record = {
                 "word": word,
                 "window_ms": round(raster.window_s * 1000.0, 6),
-                "trains": [[round(t * 1000.0, 3) for t in train] for train in raster.trains],
+                "trains": [ms[start:end] for start, end in zip([0] + ends, ends)],
             }
             fh.write(json.dumps(record, separators=(",", ":")) + "\n")
 
@@ -428,13 +431,19 @@ def read_raster_jsonl(path: str) -> tuple[list[str], list[SpikeRaster]]:
                 record = json.loads(line)
                 word = record["word"]
                 window_s = float(record["window_ms"]) / 1000.0
-                trains = tuple(
-                    np.asarray(train, dtype=np.float64) / 1000.0 for train in record["trains"]
-                )
+                trains = record["trains"]
+                if not isinstance(trains, list) or not all(isinstance(t, list) for t in trains):
+                    raise ValueError("trains must be a list of lists of spike times")
+                counts = np.fromiter(map(len, trains), dtype=np.int64, count=len(trains))
+                times = np.fromiter(
+                    itertools.chain.from_iterable(trains), dtype=np.float64, count=int(counts.sum())
+                ) / 1000.0
+                if not np.all(np.isfinite(times)):
+                    raise ValueError("spike times must be finite numbers")
             except (KeyError, ValueError, TypeError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad raster record: {exc}") from exc
             words.append(word)
-            rasters.append(SpikeRaster(window_s, trains))
+            rasters.append(SpikeRaster(window_s, times, counts))
     return words, rasters
 
 
@@ -442,4 +451,4 @@ def write_counts_csv(path: str, words, rasters) -> None:
     """Compact export: word,c1,c2,...,cn spike counts per dimension."""
     with open(path, "w", encoding="utf-8") as fh:
         for word, raster in zip(words, rasters):
-            fh.write(word + "," + ",".join(str(int(c)) for c in raster.counts()) + "\n")
+            fh.write(word + "," + ",".join(map(str, raster.counts().tolist())) + "\n")

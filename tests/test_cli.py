@@ -7,6 +7,7 @@ import pytest
 from word2spike.cli import main
 
 from conftest import write_lines
+from test_spike_codec import BAD_RECORDS, GOOD_RECORD
 
 EMB = [
     "cat 1.0 0.2 -2.0 0.1",
@@ -130,6 +131,15 @@ class TestDecodeCmd:
     def test_missing_rasters_exit_2(self, tmp_path):
         assert main(["decode", "--rasters", str(tmp_path / "no.jsonl"),
                      "--out-dir", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("bad", sorted(BAD_RECORDS))
+    def test_malformed_rasters_exit_2(self, tmp_path, capsys, bad):
+        path = tmp_path / "r.jsonl"
+        path.write_text(GOOD_RECORD + "\n" + BAD_RECORDS[bad] + "\n", encoding="utf-8")
+        out = tmp_path / "d"
+        assert main(["decode", "--rasters", str(path), "--out-dir", str(out)]) == 2
+        assert "r.jsonl:2" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestAnalyzeCmd:

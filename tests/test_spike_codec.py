@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -37,11 +38,8 @@ ALT = PRESETS["paper-400ms"]
 
 
 def raster_from_counts(counts, window_s=0.2):
-    trains = tuple(
-        (np.arange(c, dtype=float) + 0.5) * (window_s / c) if c else np.empty(0)
-        for c in counts
-    )
-    return SpikeRaster(window_s, trains)
+    trains = [(np.arange(c, dtype=float) + 0.5) * (window_s / c) for c in counts if c]
+    return SpikeRaster(window_s, np.concatenate([np.empty(0), *trains]), counts)
 
 
 class TestCodecConfig:
@@ -147,6 +145,57 @@ class TestGenerateRaster:
         lam = 20.0
         assert np.mean(counts) == pytest.approx(lam, abs=4 * math.sqrt(lam / 4000))
         assert np.var(counts) == pytest.approx(lam, rel=0.15)
+
+    def test_stochastic_times_uniform_within_window(self):
+        # given its count, a Poisson process places spikes as iid uniforms
+        cfg = CodecConfig(seed=31)
+        raster = generate_raster(RateVector(np.full(2000, 100.0)), cfg, 0)
+        assert raster.times.size > 30_000
+        _, pvalue = st.kstest(raster.times / cfg.window_s, "uniform")
+        assert pvalue > 0.001
+
+    def test_stochastic_gaps_exponential(self):
+        rate = 50_000.0  # lambda * T = 1e4 spikes in one train
+        cfg = CodecConfig(seed=32)
+        train = generate_raster(RateVector(np.array([rate])), cfg, 0).times
+        assert abs(train.size - 10_000) < 500
+        _, pvalue = st.kstest(np.diff(train), "expon", args=(0.0, 1.0 / rate))
+        assert pvalue > 0.001
+
+    def test_stochastic_rasters_valid_1000_words(self):
+        rng = np.random.default_rng(33)
+        words = tuple(f"w{i}" for i in range(1000))
+        ternary = quantize_all(EmbeddingSet(words, rng.standard_normal((1000, 300))))
+        for cfg in (CodecConfig(seed=33), ALT):
+            for i, code in enumerate(ternary.values):
+                raster = generate_raster(rates_from_ternary(code, cfg), cfg, i)
+                raster.validate()
+                assert len(raster) == 300
+
+
+class TestSpikeRaster:
+    def test_trains_view(self):
+        raster = SpikeRaster(0.2, [0.1, 0.05, 0.15], [1, 0, 2])
+        assert [t.tolist() for t in raster.trains] == [[0.1], [], [0.05, 0.15]]
+        assert raster.counts().tolist() == [1, 0, 2]
+        raster.validate()  # times may descend across a dimension boundary
+
+    def test_counts_must_match_times(self):
+        with pytest.raises(ValueError):
+            SpikeRaster(0.2, [0.1, 0.2], [1])
+        with pytest.raises(ValueError):
+            SpikeRaster(0.2, [0.1], [2, -1])
+
+    @pytest.mark.parametrize("times,counts,message", [
+        ([0.1, math.nan], [0, 2], "dimension 1: non-finite"),
+        ([0.1, 0.2], [1, 1], "dimension 1: spike time outside"),
+        ([-0.01], [1], "dimension 0: spike time outside"),
+        ([0.01, 0.05, 0.05], [1, 2], "dimension 1: spike times not strictly increasing"),
+        ([0.01, 0.07, 0.06], [0, 3], "dimension 1: spike times not strictly increasing"),
+    ])
+    def test_validate_rejects(self, times, counts, message):
+        with pytest.raises(ValueError, match=message):
+            SpikeRaster(0.2, times, counts).validate()
 
 
 class TestEstimateAndDecode:
@@ -269,6 +318,33 @@ class TestSuggestThreshold:
         assert err < 1e-3
 
 
+def reference_jsonl(words, rasters):
+    """The per-spike formatting the bulk writer must reproduce byte for byte.
+
+    Each t is a numpy float64, so round() here is numpy's rounding."""
+    lines = []
+    for word, raster in zip(words, rasters):
+        record = {
+            "word": word,
+            "window_ms": round(raster.window_s * 1000.0, 6),
+            "trains": [[round(t * 1000.0, 3) for t in train] for train in raster.trains],
+        }
+        lines.append(json.dumps(record, separators=(",", ":")) + "\n")
+    return "".join(lines)
+
+
+GOOD_RECORD = '{"word":"a","window_ms":200.0,"trains":[[1.0,2.5],[]]}'
+
+BAD_RECORDS = {
+    "non-numeric time": '{"word":"b","window_ms":200.0,"trains":[[1.0,"x"]]}',
+    "null time": '{"word":"b","window_ms":200.0,"trains":[[1.0,null]]}',
+    "missing trains": '{"word":"b","window_ms":200.0}',
+    "non-list train": '{"word":"b","window_ms":200.0,"trains":[[1.0],5]}',
+    "string train": '{"word":"b","window_ms":200.0,"trains":["123"]}',
+    "non-list trains": '{"word":"b","window_ms":200.0,"trains":7}',
+}
+
+
 class TestSerialization:
     def test_jsonl_roundtrip(self, tmp_path):
         cfg = CodecConfig(seed=11)
@@ -293,3 +369,23 @@ class TestSerialization:
         path = str(tmp_path / "c.csv")
         write_counts_csv(path, ["w"], [raster_from_counts([20, 0, 10])])
         assert open(path).read() == "w,20,0,10\n"
+
+    @pytest.mark.parametrize("mode", ["stochastic", "lossless"])
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_jsonl_bytes_match_reference(self, tmp_path, mode, preset):
+        cfg = dataclasses.replace(PRESETS[preset], mode=mode, seed=12)
+        rng = np.random.default_rng(12)
+        codes = rng.choice(np.array([-1, 0, 1], dtype=np.int8), size=(30, 300), p=[0.2, 0.6, 0.2])
+        codes[0] = 0  # a word with no spikes at all
+        rasters = [generate_raster(rates_from_ternary(c, cfg), cfg, i) for i, c in enumerate(codes)]
+        words = [f"w{i}" for i in range(len(codes))]
+        path = tmp_path / "r.jsonl"
+        write_raster_jsonl(str(path), words, rasters)
+        assert path.read_text(encoding="utf-8") == reference_jsonl(words, rasters)
+
+    @pytest.mark.parametrize("bad", sorted(BAD_RECORDS))
+    def test_malformed_record_names_line(self, tmp_path, bad):
+        path = tmp_path / "r.jsonl"
+        path.write_text(GOOD_RECORD + "\n" + BAD_RECORDS[bad] + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"r\.jsonl:2: bad raster record"):
+            read_raster_jsonl(str(path))
