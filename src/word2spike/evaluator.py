@@ -27,17 +27,25 @@ class EvaluationError(ValueError):
     """Metric preconditions not met (degenerate or empty input)."""
 
 
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity; zero-norm vectors compare as 0 (with a warning)."""
+def _cosine_or_none(u: np.ndarray, v: np.ndarray) -> float | None:
+    """Cosine similarity, or None when either vector has zero norm."""
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape:
         raise ValueError(f"length mismatch: {u.shape} vs {v.shape}")
     nu, nv = float(np.linalg.norm(u)), float(np.linalg.norm(v))
     if nu == 0.0 or nv == 0.0:
+        return None
+    return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
+
+
+def cosine(u: np.ndarray, v: np.ndarray) -> float:
+    """Cosine similarity; zero-norm vectors compare as 0 (with a warning)."""
+    c = _cosine_or_none(u, v)
+    if c is None:
         log.warning("cosine of a zero-norm vector defined as 0")
         return 0.0
-    return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
+    return c
 
 
 def _fractional_ranks(xs: np.ndarray) -> np.ndarray:
@@ -77,18 +85,24 @@ def simlex_eval(
     """Spearman rho between model cosines and human scores.
 
     Pairs with either word out of vocabulary are skipped and counted.
-    Returns (rho, used, skipped).
+    Pairs involving a zero-norm vector get cosine 0 and one aggregated
+    warning.  Returns (rho, used, skipped).
     """
     if not pairs:
         raise EvaluationError("no similarity pairs supplied")
     sims, scores = [], []
-    skipped = 0
+    skipped = zero_norm = 0
     for pair in pairs:
         if pair.word_a not in vectors or pair.word_b not in vectors:
             skipped += 1
             continue
-        sims.append(cosine(vectors[pair.word_a], vectors[pair.word_b]))
+        c = _cosine_or_none(vectors[pair.word_a], vectors[pair.word_b])
+        if c is None:
+            zero_norm += 1
+        sims.append(0.0 if c is None else c)
         scores.append(pair.human_score)
+    if zero_norm:
+        log.warning("%d pairs involve a zero-norm vector; their cosine is taken as 0", zero_norm)
     if len(sims) < 2:
         raise EvaluationError(
             f"only {len(sims)} in-vocabulary pairs ({skipped} skipped); need >= 2"
@@ -96,45 +110,113 @@ def simlex_eval(
     return spearman(sims, scores), len(sims), skipped
 
 
-class _NeighborIndex:
-    """Brute-force cosine search over a vocabulary.
+# rows x vocabulary cells scored per matrix product in _NeighborIndex.top_k;
+# 2**19 float64 cells keep each block's temporaries near 4 MB
+_BLOCK_CELLS = 2**19
 
-    Rows are L2-normalized once; zero-norm words are excluded from
-    rankings (their cosine is defined as 0, which would rank arbitrarily).
+
+class _NeighborIndex:
+    """Exact brute-force cosine search over a vocabulary, batched.
+
+    Queries are scored in row blocks, one matrix product per block.
+    Zero-norm words are excluded from rankings (their cosine is defined as
+    0, which would rank arbitrarily), and a zero query has no neighbours.
+    Rankings are by (-score, token): words are sorted, so equal scores
+    break toward the smaller token.  When the rows are ternary and the
+    queries integer-valued, the score is the exact key
+    ``sign(d) * d**2 / |row|**2`` of the integer dot product ``d``, so
+    ties are true ties whatever the summation order.
     """
 
     def __init__(self, vectors: dict[str, np.ndarray]):
         self.words = sorted(vectors)
-        matrix = np.stack([np.asarray(vectors[w], dtype=np.float64) for w in self.words])
-        norms = np.linalg.norm(matrix, axis=1)
-        self.zero_norm = norms == 0.0
+        self.row = {w: i for i, w in enumerate(self.words)}
+        self.matrix = np.stack([np.asarray(vectors[w], dtype=np.float64) for w in self.words])
+        self.sq_norms = np.einsum("ij,ij->i", self.matrix, self.matrix)
+        self.zero_norm = self.sq_norms == 0.0
         if self.zero_norm.any():
             log.warning(
                 "%d zero-norm vectors excluded from neighbor rankings",
                 int(self.zero_norm.sum()),
             )
-        safe = np.where(self.zero_norm, 1.0, norms)
-        self.unit = matrix / safe[:, None]
-        self.index = {w: i for i, w in enumerate(self.words)}
+        self.ternary = bool(np.isin(self.matrix, (-1.0, 0.0, 1.0)).all())
+        self._own: dict[int, dict[str, list[str]]] = {}
 
-    def top_k(self, query_vec: np.ndarray, k: int, exclude: set[str]) -> list[str]:
-        qnorm = float(np.linalg.norm(query_vec))
-        if qnorm == 0.0:
-            return []
-        sims = self.unit @ (np.asarray(query_vec, dtype=np.float64) / qnorm)
-        sims[self.zero_norm] = -np.inf
-        for word in exclude:
-            i = self.index.get(word)
-            if i is not None:
-                sims[i] = -np.inf
-        n_valid = int(np.isfinite(sims).sum())
-        k = min(k, n_valid)
+    def __contains__(self, word: str) -> bool:
+        return word in self.row
+
+    def _integral(self, block: np.ndarray) -> bool:
+        # with |d| <= sum|q| = D and n = |row|**2 <= dim, the key d*|d| / n
+        # is exact and order-faithful in float64 while D * dim < 2**26: d
+        # and d**2 are exact integers, and two distinct keys differ by at
+        # least 1 / dim**2, more than the 2 * D**2 / 2**53 rounding can close
+        if not np.array_equal(block, np.rint(block)):
+            return False
+        return float(np.abs(block).sum(axis=1).max(initial=0.0)) * self.matrix.shape[1] < 2**26
+
+    def top_k(self, queries: np.ndarray, k: int, exclude: np.ndarray) -> list[list[str]]:
+        """Top-k words for each row of an (m, d) query matrix.
+
+        ``exclude`` is an (m, e) array of row indices ranked out per query.
+        Returns m lists, each shorter than k only when the vocabulary runs
+        out.
+        """
+        queries = np.asarray(queries, dtype=np.float64)
+        n = len(self.words)
+        step = max(1, _BLOCK_CELLS // n)
+        starts = range(0, len(queries), step)
+        exact = self.ternary and all(self._integral(queries[lo : lo + step]) for lo in starts)
+        row_scale = np.where(self.zero_norm, 1.0, self.sq_norms)
+        if not exact:
+            row_scale = np.sqrt(row_scale)
+        out: list[list[str]] = []
+        for lo in starts:
+            block = queries[lo : lo + step]
+            scores = block @ self.matrix.T
+            if exact:
+                scores *= np.abs(scores)
+            scores /= row_scale
+            scores[:, self.zero_norm] = -np.inf
+            scores[~block.any(axis=1)] = -np.inf
+            scores[np.arange(len(block))[:, None], exclude[lo : lo + step]] = -np.inf
+            out.extend(self._rank(scores, min(k, n)))
+        return out
+
+    def _rank(self, scores: np.ndarray, k: int) -> list[list[str]]:
         if k <= 0:
-            return []
-        # words are in lexicographic order, so sorting by (-sim, index)
-        # breaks equal similarities toward the smaller token
-        order = np.lexsort((np.arange(len(sims)), -sims))
-        return [self.words[i] for i in order[:k]]
+            return [[] for _ in scores]
+        # per query row: every candidate scoring at least the k-th largest
+        # (ties at the k-th place included), ordered by (-score, token)
+        kth = np.partition(scores, -k, axis=1)[:, -k]
+        flat = np.flatnonzero(scores >= kth[:, None])
+        values = scores.ravel()[flat]
+        finite = values > -np.inf
+        flat, values = flat[finite], values[finite]
+        rows, cols = np.divmod(flat, scores.shape[1])
+        order = np.lexsort((cols, -values, rows))
+        rows, cols = rows[order], cols[order]
+        starts = np.searchsorted(rows, np.arange(len(scores) + 1))
+        return [
+            [self.words[i] for i in cols[a : min(b, a + k)]]
+            for a, b in zip(starts[:-1], starts[1:])
+        ]
+
+    def own_top_k(self, words: list[str], k: int) -> list[list[str]]:
+        """Top-k lists of vocabulary words, each ranking itself out;
+        memoized per (word, k), and the missing ones computed in one call."""
+        memo = self._own.setdefault(k, {})
+        missing = [w for w in dict.fromkeys(words) if w not in memo]
+        if missing:
+            rows = np.sort(np.array([self.row[w] for w in missing], dtype=np.intp))
+            # the whole vocabulary is queried in place, without a copy
+            queries = self.matrix if len(rows) == len(self.words) else self.matrix[rows]
+            tops = self.top_k(queries, k, rows[:, None])
+            memo.update((self.words[r], top) for r, top in zip(rows, tops))
+        return [memo[w] for w in words]
+
+
+def _as_index(vectors) -> _NeighborIndex:
+    return vectors if isinstance(vectors, _NeighborIndex) else _NeighborIndex(vectors)
 
 
 def neighbors(vectors: dict[str, np.ndarray], query: str, k: int) -> list[str]:
@@ -147,60 +229,51 @@ def neighbors(vectors: dict[str, np.ndarray], query: str, k: int) -> list[str]:
         raise EvaluationError(f"query {query!r} not in vocabulary")
     if k < 1:
         raise ValueError("k must be >= 1")
-    index = _NeighborIndex(vectors)
-    return index.top_k(np.asarray(vectors[query]), k, exclude={query})
+    return _NeighborIndex(vectors).own_top_k([query], k)[0]
 
 
 def overlap_at_k(
-    map_a: dict[str, np.ndarray],
-    map_b: dict[str, np.ndarray],
+    map_a: dict[str, np.ndarray] | _NeighborIndex,
+    map_b: dict[str, np.ndarray] | _NeighborIndex,
     k: int,
     vocab: WordList | list[str] | None = None,
 ) -> float:
-    """Mean |top-k(a) ∩ top-k(b)| / k over the shared vocabulary."""
-    words = list(vocab) if vocab is not None else sorted(set(map_a) & set(map_b))
-    words = [w for w in words if w in map_a and w in map_b]
+    """Mean |top-k(a) ∩ top-k(b)| / k over the shared vocabulary.
+
+    Either side may be a prebuilt index, whose top-k lists are reused.
+    """
+    index_a, index_b = _as_index(map_a), _as_index(map_b)
+    words = list(vocab) if vocab is not None else sorted(set(index_a.row) & set(index_b.row))
+    words = [w for w in words if w in index_a and w in index_b]
     if not words:
         raise EvaluationError("empty shared vocabulary")
-    index_a = _NeighborIndex(map_a)
-    index_b = _NeighborIndex(map_b)
-    fractions = []
-    for word in words:
-        top_a = set(index_a.top_k(np.asarray(map_a[word]), k, exclude={word}))
-        top_b = set(index_b.top_k(np.asarray(map_b[word]), k, exclude={word}))
-        fractions.append(len(top_a & top_b) / k)
-    return float(np.mean(fractions))
+    pairs = zip(index_a.own_top_k(words, k), index_b.own_top_k(words, k))
+    return float(np.mean([len(set(top_a) & set(top_b)) / k for top_a, top_b in pairs]))
 
 
 def analogy_eval(
-    vectors: dict[str, np.ndarray], quads: list[AnalogyQuad]
+    vectors: dict[str, np.ndarray] | _NeighborIndex, quads: list[AnalogyQuad]
 ) -> tuple[float, int, int]:
     """Top-1 accuracy of 3CosAdd analogy solving.
 
     Predicts the nearest word to vec(b) - vec(a) + vec(c), excluding the
-    three query words.  Quads with any OOV word are skipped and counted.
-    Returns (accuracy, used, skipped).
+    three query words, for all quads in one batched search.  Quads with
+    any OOV word are skipped and counted.  Returns (accuracy, used,
+    skipped).
     """
     if not quads:
         raise EvaluationError("no analogy quads supplied")
-    index = _NeighborIndex(vectors)
-    used = skipped = correct = 0
-    for quad in quads:
-        if any(w not in vectors for w in (quad.a, quad.b, quad.c, quad.d)):
-            skipped += 1
-            continue
-        target = (
-            np.asarray(vectors[quad.b], dtype=np.float64)
-            - np.asarray(vectors[quad.a], dtype=np.float64)
-            + np.asarray(vectors[quad.c], dtype=np.float64)
-        )
-        top = index.top_k(target, 1, exclude={quad.a, quad.b, quad.c})
-        used += 1
-        if top and top[0] == quad.d:
-            correct += 1
-    if used == 0:
+    index = _as_index(vectors)
+    used = [q for q in quads if all(w in index for w in (q.a, q.b, q.c, q.d))]
+    skipped = len(quads) - len(used)
+    if not used:
         raise EvaluationError(f"all {skipped} analogy quads skipped (OOV)")
-    return correct / used, used, skipped
+    abc = np.array([[index.row[q.a], index.row[q.b], index.row[q.c]] for q in used], dtype=np.intp)
+    m = index.matrix
+    targets = m[abc[:, 1]] - m[abc[:, 0]] + m[abc[:, 2]]
+    tops = index.top_k(targets, 1, abc)
+    correct = sum(1 for top, q in zip(tops, used) if top and top[0] == q.d)
+    return correct / len(used), len(used), skipped
 
 
 def reconstruction_accuracy(
@@ -287,18 +360,15 @@ class EvalReport:
 
 
 def _metrics_for(
-    vectors: dict[str, np.ndarray],
-    original_map: dict[str, np.ndarray],
-    pairs,
-    quads,
-    vocab,
+    index: _NeighborIndex, original_index: _NeighborIndex, pairs, quads, vocab
 ) -> RepresentationMetrics:
     m = RepresentationMetrics()
     if pairs:
+        vectors = dict(zip(index.words, index.matrix))
         m.simlex_rho, m.simlex_used, m.simlex_skipped = simlex_eval(vectors, pairs)
     if quads:
-        m.analogy_accuracy, m.analogy_used, m.analogy_skipped = analogy_eval(vectors, quads)
-    m.overlap_at_10 = overlap_at_k(original_map, vectors, 10, vocab)
+        m.analogy_accuracy, m.analogy_used, m.analogy_skipped = analogy_eval(index, quads)
+    m.overlap_at_10 = overlap_at_k(original_index, index, 10, vocab)
     return m
 
 
@@ -309,18 +379,18 @@ def full_report(
     quads: list[AnalogyQuad] | None = None,
 ) -> EvalReport:
     """Quantize and round-trip the embedding set, then evaluate all metrics
-    for the original, quantized, and spike-decoded representations."""
-    result = roundtrip(original, cfg)
-    original_map = original.as_map()
-    quantized_map = result.ternary.as_map()
-    spike_map = result.decoded.as_map()
-    vocab = list(original.words)
+    for the original, quantized, and spike-decoded representations.
 
+    One neighbour index is built per representation and shared by all its
+    metrics; the original's top-10 lists are computed once."""
+    result = roundtrip(original, cfg)
+    indices = [_NeighborIndex(s.as_map()) for s in (original, result.ternary, result.decoded)]
+    vocab = list(original.words)
+    original_m, quantized_m, spike_m = (
+        _metrics_for(index, indices[0], pairs, quads, vocab) for index in indices
+    )
     report = EvalReport(
-        original=_metrics_for(original_map, original_map, pairs, quads, vocab),
-        quantized=_metrics_for(quantized_map, original_map, pairs, quads, vocab),
-        spike=_metrics_for(spike_map, original_map, pairs, quads, vocab),
-        reference=REFERENCE_VALUES,
+        original=original_m, quantized=quantized_m, spike=spike_m, reference=REFERENCE_VALUES
     )
     word_exact, per_dim, confusion = reconstruction_accuracy(result.ternary, result.decoded)
     report.spike.reconstruction_accuracy = word_exact

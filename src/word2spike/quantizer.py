@@ -134,6 +134,10 @@ def quantize_all(
     return TernarySet(es.words, values, gammas)
 
 
+# the text form of -1, 0, +1, indexed by code + 1
+_SYMBOLS = np.array(["-1", "0", "1"])
+
+
 def save_ternary(ts: TernarySet, path: str, gamma_path: str | None = None) -> None:
     """Write a ternary set in the text embedding format, values in {-1,0,1}.
 
@@ -142,7 +146,7 @@ def save_ternary(ts: TernarySet, path: str, gamma_path: str | None = None) -> No
     """
     with open(path, "w", encoding="utf-8") as fh:
         for word, row in zip(ts.words, ts.values):
-            fh.write(word + " " + " ".join(str(int(v)) for v in row) + "\n")
+            fh.write(word + " " + " ".join(_SYMBOLS[row + 1].tolist()) + "\n")
     if gamma_path is not None and ts.gammas is not None:
         with open(gamma_path, "w", encoding="utf-8") as fh:
             for word, g in zip(ts.words, ts.gammas):

@@ -434,6 +434,10 @@ def read_raster_jsonl(path: str) -> tuple[list[str], list[SpikeRaster]]:
                 trains = record["trains"]
                 if not isinstance(trains, list) or not all(isinstance(t, list) for t in trains):
                     raise ValueError("trains must be a list of lists of spike times")
+                # exact types: a JSON true is a bool, and fromiter would read
+                # both true and "1.5" as numbers
+                if not set(map(type, itertools.chain.from_iterable(trains))) <= {int, float}:
+                    raise ValueError("spike times must be JSON numbers")
                 counts = np.fromiter(map(len, trains), dtype=np.int64, count=len(trains))
                 times = np.fromiter(
                     itertools.chain.from_iterable(trains), dtype=np.float64, count=int(counts.sum())

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -116,6 +118,24 @@ class TestSimlexEval:
     def test_all_oov_errors(self):
         with pytest.raises(EvaluationError):
             simlex_eval({"a": np.ones(2)}, [SimilarityPair("x", "y", 1.0)])
+
+    def test_zero_norm_pairs_give_one_aggregated_warning(self, caplog):
+        rng = np.random.default_rng(1)
+        vectors = {
+            f"w{i:02d}": rng.standard_normal(4) if i % 3 else np.zeros(4) for i in range(30)
+        }
+        words = sorted(vectors)
+        pairs = [SimilarityPair(words[i], words[i + 1], float(i % 7)) for i in range(29)]
+        zero_pairs = sum(1 for i in range(29) if i % 3 == 0 or (i + 1) % 3 == 0)
+        with caplog.at_level(logging.WARNING, logger="word2spike.evaluator"):
+            rho, used, skipped = simlex_eval(vectors, pairs)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{zero_pairs} pairs involve a zero-norm vector; their cosine is taken as 0"
+        ]
+        # the same per-pair cosines as cosine(), so rho does not move
+        sims = [cosine(vectors[p.word_a], vectors[p.word_b]) for p in pairs]
+        assert rho == spearman(sims, [p.human_score for p in pairs])
+        assert (used, skipped) == (29, 0)
 
 
 class TestNeighbors:

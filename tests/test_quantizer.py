@@ -4,6 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from word2spike.quantizer import (
+    TernarySet,
     TernaryVector,
     absmean_gamma,
     load_ternary,
@@ -127,6 +128,20 @@ class TestQuantizeAll:
     def test_per_matrix_gamma_mode(self, random_set):
         ts = quantize_all(random_set, per_matrix_gamma=True)
         assert len(set(ts.gammas.tolist())) == 1
+
+    @pytest.mark.parametrize("shape", [(50, 300), (3, 1), (0, 4)])
+    def test_save_bytes_match_per_value_formatting(self, tmp_path, shape):
+        # oracle: the earlier writer, which formatted every value with str(int(v))
+        rng = np.random.default_rng(3)
+        values = rng.choice(np.array([-1, 0, 1], dtype=np.int8), size=shape)
+        ts = TernarySet(tuple(f"w{i}" for i in range(shape[0])), values)
+        path = tmp_path / "t.txt"
+        save_ternary(ts, str(path))
+        expected = "".join(
+            word + " " + " ".join(str(int(v)) for v in row) + "\n"
+            for word, row in zip(ts.words, ts.values)
+        )
+        assert path.read_bytes() == expected.encode("utf-8")
 
     def test_serialization_roundtrip(self, tmp_path, random_set):
         ts = quantize_all(random_set)

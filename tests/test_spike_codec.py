@@ -338,6 +338,8 @@ GOOD_RECORD = '{"word":"a","window_ms":200.0,"trains":[[1.0,2.5],[]]}'
 BAD_RECORDS = {
     "non-numeric time": '{"word":"b","window_ms":200.0,"trains":[[1.0,"x"]]}',
     "null time": '{"word":"b","window_ms":200.0,"trains":[[1.0,null]]}',
+    "numeric-string time": '{"word":"b","window_ms":200.0,"trains":[["1.5"]]}',
+    "boolean time": '{"word":"b","window_ms":200.0,"trains":[[true]]}',
     "missing trains": '{"word":"b","window_ms":200.0}',
     "non-list train": '{"word":"b","window_ms":200.0,"trains":[[1.0],5]}',
     "string train": '{"word":"b","window_ms":200.0,"trains":["123"]}',
