@@ -99,7 +99,8 @@ def simlex_eval(
         c = _cosine_or_none(vectors[pair.word_a], vectors[pair.word_b])
         if c is None:
             zero_norm += 1
-        sims.append(0.0 if c is None else c)
+            c = 0.0
+        sims.append(c)
         scores.append(pair.human_score)
     if zero_norm:
         log.warning("%d pairs involve a zero-norm vector; their cosine is taken as 0", zero_norm)
