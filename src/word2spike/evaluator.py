@@ -123,10 +123,9 @@ class _NeighborIndex:
     Zero-norm words are excluded from rankings (their cosine is defined as
     0, which would rank arbitrarily), and a zero query has no neighbours.
     Rankings are by (-score, token): words are sorted, so equal scores
-    break toward the smaller token.  When the rows are ternary and the
-    queries integer-valued, the score is the exact key
-    ``sign(d) * d**2 / |row|**2`` of the integer dot product ``d``, so
-    ties are true ties whatever the summation order.
+    break toward the smaller token.  The score is the key
+    ``sign(d) * d**2 / |row|**2`` of the dot product ``d``, which ranks as
+    the cosine does and is exact for ternary rows and integer queries.
     """
 
     def __init__(self, vectors: dict[str, np.ndarray]):
@@ -140,20 +139,10 @@ class _NeighborIndex:
                 "%d zero-norm vectors excluded from neighbor rankings",
                 int(self.zero_norm.sum()),
             )
-        self.ternary = bool(np.isin(self.matrix, (-1.0, 0.0, 1.0)).all())
         self._own: dict[int, dict[str, list[str]]] = {}
 
     def __contains__(self, word: str) -> bool:
         return word in self.row
-
-    def _integral(self, block: np.ndarray) -> bool:
-        # with |d| <= sum|q| = D and n = |row|**2 <= dim, the key d*|d| / n
-        # is exact and order-faithful in float64 while D * dim < 2**26: d
-        # and d**2 are exact integers, and two distinct keys differ by at
-        # least 1 / dim**2, more than the 2 * D**2 / 2**53 rounding can close
-        if not np.array_equal(block, np.rint(block)):
-            return False
-        return float(np.abs(block).sum(axis=1).max(initial=0.0)) * self.matrix.shape[1] < 2**26
 
     def top_k(self, queries: np.ndarray, k: int, exclude: np.ndarray) -> list[list[str]]:
         """Top-k words for each row of an (m, d) query matrix.
@@ -165,18 +154,18 @@ class _NeighborIndex:
         queries = np.asarray(queries, dtype=np.float64)
         n = len(self.words)
         step = max(1, _BLOCK_CELLS // n)
-        starts = range(0, len(queries), step)
-        exact = self.ternary and all(self._integral(queries[lo : lo + step]) for lo in starts)
-        row_scale = np.where(self.zero_norm, 1.0, self.sq_norms)
-        if not exact:
-            row_scale = np.sqrt(row_scale)
+        sq_norms = np.where(self.zero_norm, 1.0, self.sq_norms)
         out: list[list[str]] = []
-        for lo in starts:
+        for lo in range(0, len(queries), step):
             block = queries[lo : lo + step]
             scores = block @ self.matrix.T
-            if exact:
-                scores *= np.abs(scores)
-            scores /= row_scale
+            # d * |d| / |row|**2 ranks as d / |row| does.  For ternary rows
+            # (|row|**2 <= dim) and integer queries with sum|q| * dim < 2**26
+            # it is exact and order-faithful in float64: d and d**2 are exact
+            # integers, and two distinct keys differ by at least 1 / dim**2,
+            # more than rounding can close, so ties are true ties
+            scores *= np.abs(scores)
+            scores /= sq_norms
             scores[:, self.zero_norm] = -np.inf
             scores[~block.any(axis=1)] = -np.inf
             scores[np.arange(len(block))[:, None], exclude[lo : lo + step]] = -np.inf
