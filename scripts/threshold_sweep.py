@@ -3,13 +3,13 @@
 
 Useful for picking a threshold for nonstandard rate/window settings;
 columns: count_threshold, threshold_hz, p_minus_as_plus, p_plus_as_minus,
-sum.
+total_error (the total per-dimension error that ``word2spike analyze``
+prints, zero-count terms included).
 """
 
 import argparse
-import math
 
-from word2spike.spike_codec import poisson_cdf, poisson_pmf, poisson_sf_ge
+from word2spike.spike_codec import CodecConfig, threshold_curve
 
 
 def main() -> None:
@@ -19,15 +19,20 @@ def main() -> None:
     ap.add_argument("--rate-minus", type=float, default=50.0)
     args = ap.parse_args()
 
-    window_s = args.window_ms / 1000.0
-    lam_minus = args.rate_minus * window_s
-    lam_plus = args.rate_plus * window_s
-
-    print("count_threshold,threshold_hz,p_minus_as_plus,p_plus_as_minus,sum")
-    for k in range(math.floor(lam_minus) + 1, math.floor(lam_plus) + 1):
-        p_mp = poisson_sf_ge(k, lam_minus)
-        p_pm = poisson_cdf(k - 1, lam_plus) - poisson_pmf(0, lam_plus)
-        print(f"{k},{k / window_s:.3f},{p_mp:.6g},{p_pm:.6g},{p_mp + p_pm:.6g}")
+    # the curve does not depend on the configured threshold; any valid one will do
+    cfg = CodecConfig(
+        window_s=args.window_ms / 1000.0,
+        rate_plus_hz=args.rate_plus,
+        rate_minus_hz=args.rate_minus,
+        threshold_hz=(args.rate_plus + args.rate_minus) / 2,
+    )
+    print("count_threshold,threshold_hz,p_minus_as_plus,p_plus_as_minus,total_error")
+    for a in threshold_curve(cfg):
+        k = a.count_threshold
+        print(
+            f"{k},{k / cfg.window_s:.3f},{a.p_minus_as_plus:.6g},"
+            f"{a.p_plus_as_minus:.6g},{a.total_error:.6g}"
+        )
 
 
 if __name__ == "__main__":

@@ -31,6 +31,7 @@ from .spike_codec import (
     rates_from_ternary,
     roundtrip,
     suggest_threshold,
+    threshold_curve,
 )
 from .evaluator import (
     EvalReport,

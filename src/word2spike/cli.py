@@ -44,9 +44,9 @@ from .spike_codec import (
     ConfigError,
     PRESETS,
     SpikeRaster,
+    _read_config,
     decode,
     generate_raster,
-    load_codec_config,
     misclassification_probabilities,
     rate_spread,
     rates_from_ternary,
@@ -97,7 +97,7 @@ def write_manifest(out_dir: str, cfg: CodecConfig | None, inputs: dict[str, str]
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "config": dataclasses.asdict(cfg) if cfg is not None else None,
         "seed": cfg.seed if cfg is not None else None,
-        "inputs": {os.path.basename(p): _sha256(p) for p in inputs.values() if p},
+        "inputs": {role: _sha256(p) for role, p in inputs.items() if p},
     }
     text = json.dumps(manifest, indent=2) + "\n"
     _atomic_writer(
@@ -107,17 +107,19 @@ def write_manifest(out_dir: str, cfg: CodecConfig | None, inputs: dict[str, str]
 
 def build_config(args) -> CodecConfig:
     """Resolve the codec config: preset or file base, then flag overrides."""
-    if getattr(args, "preset", None) and getattr(args, "config", None):
+    if args.preset and args.config:
         raise ConfigError("--preset and --config are mutually exclusive")
-    if getattr(args, "preset", None):
+    file_kwargs = _read_config(args.config) if args.config else {}
+    if args.preset:
+        # argparse checks choices on flags only, not on environment defaults
+        if args.preset not in PRESETS:
+            raise ConfigError(f"unknown preset {args.preset!r}; choose from {sorted(PRESETS)}")
         base = PRESETS[args.preset]
-    elif getattr(args, "config", None):
-        base = load_codec_config(args.config)
     else:
-        base = CodecConfig()
+        base = CodecConfig(**file_kwargs)
 
     overrides = {}
-    seed_given = bool(args.config) and "seed" in _config_file_keys(args.config)
+    seed_given = "seed" in file_kwargs
     if args.window_ms is not None:
         overrides["window_s"] = args.window_ms / 1000.0
     if args.rate_plus is not None:
@@ -139,15 +141,6 @@ def build_config(args) -> CodecConfig:
             "refusing to run with silent nondeterminism"
         )
     return cfg
-
-
-def _config_file_keys(path: str) -> list[str]:
-    keys = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if "=" in line:
-                keys.append(line.split("=")[0].strip())
-    return keys
 
 
 def _load_input_set(args):
@@ -329,21 +322,13 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=_env("config"), help="key-value config file")
     p.add_argument("--preset", choices=sorted(PRESETS), default=_env("preset"))
     p.add_argument("--mode", choices=("stochastic", "lossless"), default=_env("mode"))
-    p.add_argument("--seed", type=int, default=_int_env("seed"))
-    p.add_argument("--window-ms", type=float, default=_float_env("window_ms"))
-    p.add_argument("--rate-plus", type=float, default=_float_env("rate_plus"))
-    p.add_argument("--rate-minus", type=float, default=_float_env("rate_minus"))
-    p.add_argument("--threshold", type=float, default=_float_env("threshold"))
-
-
-def _int_env(name: str) -> int | None:
-    raw = _env(name)
-    return int(raw) if raw is not None else None
-
-
-def _float_env(name: str) -> float | None:
-    raw = _env(name)
-    return float(raw) if raw is not None else None
+    # argparse applies type= to string defaults, so a bad environment
+    # value is a usage error like a bad flag
+    p.add_argument("--seed", type=int, default=_env("seed"))
+    p.add_argument("--window-ms", type=float, default=_env("window_ms"))
+    p.add_argument("--rate-plus", type=float, default=_env("rate_plus"))
+    p.add_argument("--rate-minus", type=float, default=_env("rate_minus"))
+    p.add_argument("--threshold", type=float, default=_env("threshold"))
 
 
 def _add_corpus_flags(p: argparse.ArgumentParser, embeddings_required: bool = True) -> None:
@@ -380,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ternary", default=_env("ternary"), help="pre-quantized input instead of --embeddings")
     _add_config_flags(p)
     p.add_argument("--out-dir", default=_env("out_dir") or ".")
-    p.add_argument("--threads", type=int, default=_int_env("threads") or 1)
+    p.add_argument("--threads", type=int, default=_env("threads") or 1)
     p.add_argument("--counts", action="store_true", help="also write counts.csv")
     p.add_argument("--plot-word", default=None, help="render one word's raster to SVG")
     p.set_defaults(func=cmd_encode, needs_seed=True)

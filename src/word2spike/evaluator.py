@@ -279,11 +279,8 @@ def reconstruction_accuracy(
     truth, pred = ternary.values, decoded.values
     word_exact = float(np.mean(np.all(truth == pred, axis=1)))
     per_dim = float(np.mean(truth == pred))
-    confusion = np.zeros((3, 3), dtype=np.int64)
-    for i, t in enumerate((-1, 0, 1)):
-        mask = truth == t
-        for j, p in enumerate((-1, 0, 1)):
-            confusion[i, j] = int(np.sum(pred[mask] == p))
+    cells = 3 * (truth.astype(np.intp) + 1) + (pred + 1)
+    confusion = np.bincount(cells.ravel(), minlength=9).reshape(3, 3)
     return word_exact, per_dim, confusion
 
 

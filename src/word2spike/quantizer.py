@@ -73,65 +73,49 @@ class TernarySet:
         return {w: self.values[i].astype(np.float64) for i, w in enumerate(self.words)}
 
 
+def _absmean(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row gammas mean(|w|) and ternary codes of an (n, d) matrix."""
+    gammas = np.mean(np.abs(vectors), axis=1)
+    codes = np.zeros(vectors.shape, dtype=np.int8)
+    codes[vectors > gammas[:, None]] = 1
+    codes[vectors < -gammas[:, None]] = -1
+    return gammas, codes
+
+
+def _one_row(v: np.ndarray) -> np.ndarray:
+    """A nonempty finite vector as a (1, d) float64 matrix."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.size == 0:
+        raise ValueError("empty vector")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("non-finite value in vector")
+    return v.reshape(1, -1)
+
+
 def absmean_gamma(v: np.ndarray) -> float:
     """Mean absolute value of a nonempty finite vector."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.size == 0:
-        raise ValueError("cannot compute absmean of an empty vector")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("non-finite value in vector")
-    return float(np.mean(np.abs(v)))
+    gammas, _ = _absmean(_one_row(v))
+    return float(gammas[0])
 
 
-def _ternarize(v: np.ndarray, gamma: float) -> np.ndarray:
-    out = np.zeros(v.shape, dtype=np.int8)
-    out[v > gamma] = 1
-    out[v < -gamma] = -1
-    return out
+def quantize(v: np.ndarray) -> TernaryVector:
+    """Ternarize one vector with its own absmean gamma."""
+    gammas, codes = _absmean(_one_row(v))
+    return TernaryVector(codes[0], float(gammas[0]))
 
 
-def quantize(v: np.ndarray, normalize: bool = False) -> TernaryVector:
-    """Ternarize one vector with its own absmean gamma.
-
-    ``normalize`` applies L2 pre-normalization first; the output is
-    identical either way (the rule is positive-scale invariant) but the
-    recorded gamma then refers to the unit-norm vector.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    if v.size == 0:
-        raise ValueError("cannot quantize an empty vector")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("non-finite value in vector")
-    if normalize:
-        norm = float(np.linalg.norm(v))
-        if norm > 0:
-            v = v / norm
-    gamma = absmean_gamma(v)
-    return TernaryVector(_ternarize(v, gamma), gamma)
-
-
-def quantize_all(
-    es: EmbeddingSet, normalize: bool = False, per_matrix_gamma: bool = False
-) -> TernarySet:
+def quantize_all(es: EmbeddingSet, normalize: bool = False) -> TernarySet:
     """Quantize every word of an EmbeddingSet, preserving word order.
 
-    Gamma is computed per word vector by default.  ``per_matrix_gamma``
-    switches to a single gamma over the whole vocabulary matrix
-    (BitNet-style per-tensor scaling), for experimentation only.
+    ``normalize`` L2-normalizes each nonzero vector first, which changes
+    the gammas but not the codes (the rule is positive-scale invariant).
     """
     vectors = es.vectors
     if normalize:
         norms = np.linalg.norm(vectors, axis=1, keepdims=True)
         vectors = np.where(norms > 0, vectors / np.where(norms > 0, norms, 1.0), vectors)
-    if per_matrix_gamma:
-        gamma = float(np.mean(np.abs(vectors)))
-        gammas = np.full(len(es.words), gamma)
-    else:
-        gammas = np.mean(np.abs(vectors), axis=1)
-    values = np.zeros(vectors.shape, dtype=np.int8)
-    values[vectors > gammas[:, None]] = 1
-    values[vectors < -gammas[:, None]] = -1
-    return TernarySet(es.words, values, gammas)
+    gammas, codes = _absmean(vectors)
+    return TernarySet(es.words, codes, gammas)
 
 
 # the text form of -1, 0, +1, indexed by code + 1

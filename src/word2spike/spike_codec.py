@@ -99,6 +99,11 @@ def save_codec_config(cfg: CodecConfig, path: str) -> None:
 
 def load_codec_config(path: str) -> CodecConfig:
     """Parse the key-value config format written by save_codec_config."""
+    return CodecConfig(**_read_config(path))
+
+
+def _read_config(path: str) -> dict:
+    """The keyword arguments a config file sets, typed for CodecConfig."""
     kwargs: dict = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -117,7 +122,7 @@ def load_codec_config(path: str) -> CodecConfig:
                 kwargs[key] = int(value)
             else:
                 kwargs[key] = float(value)
-    return CodecConfig(**kwargs)
+    return kwargs
 
 
 @dataclass(frozen=True)
@@ -351,20 +356,37 @@ class ErrorAnalysis:
         return 1.0 - (1.0 - self.p_plus_error) ** n_plus * (1.0 - self.p_minus_error) ** n_minus
 
 
-def misclassification_probabilities(cfg: CodecConfig) -> ErrorAnalysis:
-    lam_minus, lam_plus = cfg.lambda_minus, cfg.lambda_plus
-    k_star = cfg.count_threshold
-    p_minus_as_zero = poisson_pmf(0, lam_minus)
+def _error_analysis(lam_minus: float, lam_plus: float, k: int) -> ErrorAnalysis:
+    """The four failure cells at count threshold k, by exact summation."""
     p_plus_as_zero = poisson_pmf(0, lam_plus)
     return ErrorAnalysis(
         lambda_minus=lam_minus,
         lambda_plus=lam_plus,
-        count_threshold=k_star,
-        p_minus_as_plus=poisson_sf_ge(k_star, lam_minus),
-        p_plus_as_minus=max(0.0, poisson_cdf(k_star - 1, lam_plus) - p_plus_as_zero),
-        p_minus_as_zero=p_minus_as_zero,
+        count_threshold=k,
+        p_minus_as_plus=poisson_sf_ge(k, lam_minus),
+        p_plus_as_minus=max(0.0, poisson_cdf(k - 1, lam_plus) - p_plus_as_zero),
+        p_minus_as_zero=poisson_pmf(0, lam_minus),
         p_plus_as_zero=p_plus_as_zero,
     )
+
+
+def misclassification_probabilities(cfg: CodecConfig) -> ErrorAnalysis:
+    return _error_analysis(cfg.lambda_minus, cfg.lambda_plus, cfg.count_threshold)
+
+
+def threshold_curve(cfg: CodecConfig) -> list[ErrorAnalysis]:
+    """Exact error analysis at every integer count threshold k with
+    lambda_minus < k <= lambda_plus, in increasing k.
+
+    The curve depends on the window and rates only, not on the
+    configured threshold.
+    """
+    lam_minus, lam_plus = cfg.lambda_minus, cfg.lambda_plus
+    lo = math.floor(lam_minus) + 1
+    hi = math.floor(lam_plus + 1e-9)
+    if hi < lo:
+        raise ConfigError("no integer count threshold separates the two rates")
+    return [_error_analysis(lam_minus, lam_plus, k) for k in range(lo, hi + 1)]
 
 
 def rate_spread(cfg: CodecConfig) -> dict[str, tuple[float, float]]:
@@ -380,29 +402,14 @@ def rate_spread(cfg: CodecConfig) -> dict[str, tuple[float, float]]:
 
 
 def suggest_threshold(cfg: CodecConfig) -> tuple[float, float]:
-    """Exhaustive search for the count threshold minimizing total error.
+    """The count threshold on threshold_curve with the least total error.
 
-    Tries every integer count k with lambda_minus < k <= lambda_plus and
-    returns (k / window in Hz, total error at that k); ties go to the
+    Returns (k / window in Hz, total_error at that k), the same total
+    that misclassification_probabilities reports for k; ties go to the
     larger k.
     """
-    lam_minus, lam_plus = cfg.lambda_minus, cfg.lambda_plus
-    if lam_minus >= lam_plus:
-        raise ConfigError("rate_minus must be strictly below rate_plus")
-    lo = math.floor(lam_minus) + 1
-    hi = math.floor(lam_plus + 1e-9)
-    if hi < lo:
-        raise ConfigError("no integer count threshold separates the two rates")
-    best_k, best_err = None, math.inf
-    for k in range(lo, hi + 1):
-        err = (
-            poisson_sf_ge(k, lam_minus)
-            + poisson_cdf(k - 1, lam_plus)
-            - poisson_pmf(0, lam_plus)
-        )
-        if err <= best_err:
-            best_k, best_err = k, err
-    return best_k / cfg.window_s, best_err
+    best = min(threshold_curve(cfg), key=lambda a: (a.total_error, -a.count_threshold))
+    return best.count_threshold / cfg.window_s, best.total_error
 
 
 # --- serialization ------------------------------------------------------------

@@ -35,7 +35,7 @@ class TestQuantizeCmd:
         assert os.path.exists(os.path.join(out, "gammas.txt"))
         manifest = json.loads(read(os.path.join(out, "manifest.json")))
         assert manifest["tool_version"]
-        assert "emb.txt" in manifest["inputs"]
+        assert set(manifest["inputs"]) == {"embeddings"}
 
     def test_malformed_file_exit_2(self, tmp_path):
         bad = write_lines(tmp_path / "bad.txt", ["a 1 2", "b 1"])
@@ -105,6 +105,24 @@ class TestEncodeCmd:
             os.path.join(direct, "rasters.jsonl")
         )
 
+    @pytest.mark.parametrize("name, value, kind", [("SEED", "abc", "int"),
+                                                   ("THREADS", "two", "int"),
+                                                   ("WINDOW_MS", "wide", "float")])
+    def test_bad_env_default_exit_2(self, tmp_path, emb_file, monkeypatch, capsys,
+                                    name, value, kind):
+        monkeypatch.setenv("WORD2SPIKE_" + name, value)
+        with pytest.raises(SystemExit) as exc:
+            main(["encode", "--embeddings", emb_file, "--out-dir", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert f"invalid {kind} value: '{value}'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("lines, rc", [(["seed = 3"], 0), (["# seed = 3", "window_s = 0.2"], 4)])
+    def test_config_file_seed_counts_as_explicit(self, tmp_path, emb_file, lines, rc):
+        cfg = write_lines(tmp_path / "codec.cfg", lines)
+        assert main(["encode", "--embeddings", emb_file, "--config", cfg,
+                     "--out-dir", str(tmp_path / "o")]) == rc
+
     def test_config_file_input(self, tmp_path, emb_file):
         cfg = write_lines(
             tmp_path / "codec.cfg",
@@ -161,6 +179,12 @@ class TestAnalyzeCmd:
     def test_equal_rates_exit_4(self):
         assert main(["analyze", "--rate-minus", "100"]) == 4
 
+    @pytest.mark.parametrize("name, value", [("PRESET", "paper-1s"), ("MODE", "quantum")])
+    def test_bad_env_choice_exit_4(self, monkeypatch, capsys, name, value):
+        monkeypatch.setenv("WORD2SPIKE_" + name, value)
+        assert main(["analyze"]) == 4
+        assert value in capsys.readouterr().err
+
 
 class TestEvalCmd:
     @pytest.fixture
@@ -194,6 +218,18 @@ class TestEvalCmd:
         confusion = np.array(report["confusion"])
         assert confusion.shape == (3, 3)
         assert confusion.sum() == 4 * 4  # words x dims
+
+    def test_manifest_keys_inputs_by_role(self, tmp_path, emb_file):
+        # two inputs with the same file name still get one digest each
+        (tmp_path / "a").mkdir()
+        simlex = write_lines(tmp_path / "a" / "emb.txt",
+                             ["word1\tword2\tSimLex999", "cat\tdog\t7.0", "fox\towl\t5.0"])
+        out = str(tmp_path / "r")
+        assert main(["eval", "--embeddings", emb_file, "--simlex", simlex,
+                     "--mode", "lossless", "--out-dir", out]) == 0
+        inputs = json.loads(read(os.path.join(out, "manifest.json")))["inputs"]
+        assert set(inputs) == {"embeddings", "simlex"}
+        assert inputs["embeddings"] != inputs["simlex"]
 
     def test_missing_dataset_exit_2(self, tmp_path, emb_file):
         assert main(["eval", "--embeddings", emb_file, "--simlex",

@@ -30,6 +30,7 @@ from word2spike.spike_codec import (
     roundtrip,
     save_codec_config,
     suggest_threshold,
+    threshold_curve,
     write_counts_csv,
     write_raster_jsonl,
 )
@@ -307,8 +308,10 @@ class TestSuggestThreshold:
                            - st.poisson.pmf(0, 20), -k),
         )
         assert hz == best / 0.2
+        # the total per-dimension error, zero-count terms included
         assert err == pytest.approx(
-            st.poisson.sf(best - 1, 10) + st.poisson.cdf(best - 1, 20) - st.poisson.pmf(0, 20),
+            st.poisson.sf(best - 1, 10) + st.poisson.cdf(best - 1, 20) - st.poisson.pmf(0, 20)
+            + st.poisson.pmf(0, 10) + st.poisson.pmf(0, 20),
             rel=1e-9,
         )
 
@@ -316,6 +319,39 @@ class TestSuggestThreshold:
         hz, err = suggest_threshold(ALT)
         assert 25.0 < hz < 200.0
         assert err < 1e-3
+
+    @pytest.mark.parametrize("name, best_hz", [("paper-200ms", 75.0), ("paper-400ms", 85.0)])
+    def test_error_equals_analysis_at_suggested_threshold(self, name, best_hz):
+        cfg = PRESETS[name]
+        hz, err = suggest_threshold(cfg)
+        assert hz == best_hz
+        at_k = dataclasses.replace(cfg, threshold_hz=hz)
+        assert err == misclassification_probabilities(at_k).total_error
+
+
+class TestThresholdCurve:
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_matches_scipy_on_every_row(self, name):
+        cfg = PRESETS[name]
+        lm, lp = cfg.lambda_minus, cfg.lambda_plus
+        curve = threshold_curve(cfg)
+        assert [a.count_threshold for a in curve] == list(range(math.floor(lm) + 1, math.floor(lp) + 1))
+        for a in curve:
+            k = a.count_threshold
+            assert (a.lambda_minus, a.lambda_plus) == (lm, lp)
+            assert a.p_minus_as_plus == pytest.approx(st.poisson.sf(k - 1, lm), rel=1e-9)
+            assert a.p_plus_as_minus == pytest.approx(
+                st.poisson.cdf(k - 1, lp) - st.poisson.pmf(0, lp), rel=1e-9
+            )
+            assert a.p_minus_as_zero == pytest.approx(st.poisson.pmf(0, lm), rel=1e-12)
+            assert a.p_plus_as_zero == pytest.approx(st.poisson.pmf(0, lp), rel=1e-12)
+
+    def test_no_integer_threshold_between_rates(self):
+        cfg = CodecConfig(window_s=0.01, rate_plus_hz=40.0, rate_minus_hz=10.0, threshold_hz=20.0)
+        with pytest.raises(ConfigError):
+            threshold_curve(cfg)
+        with pytest.raises(ConfigError):
+            suggest_threshold(cfg)
 
 
 def reference_jsonl(words, rasters):
