@@ -21,7 +21,6 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -43,7 +42,6 @@ from .spike_codec import (
     CodecConfig,
     ConfigError,
     PRESETS,
-    SpikeRaster,
     _read_config,
     decode,
     generate_raster,
@@ -168,24 +166,22 @@ def cmd_quantize(args) -> int:
     return EXIT_OK
 
 
-def _encode_rasters(ternary: TernarySet, cfg: CodecConfig, threads: int) -> list[SpikeRaster]:
-    def one(i: int) -> SpikeRaster:
-        return generate_raster(rates_from_ternary(ternary.values[i], cfg), cfg, stream_id=i)
-
-    if threads <= 1:
-        return [one(i) for i in range(len(ternary))]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one, range(len(ternary))))
-
-
 def cmd_encode(args) -> int:
+    corpus_flags = [flag for flag in ("--embeddings", "--wordlist", "--lowercase") if getattr(args, flag[2:])]
+    if args.ternary and corpus_flags:
+        raise CorpusFormatError(f"--ternary cannot be combined with {', '.join(corpus_flags)}")
+    if not args.ternary and not args.embeddings:
+        raise CorpusFormatError("encode needs --embeddings or --ternary")
     cfg = build_config(args)
     if args.ternary:
         ternary = load_ternary(args.ternary)
     else:
         es, _ = _load_input_set(args)
-        ternary = quantize_all(es, normalize=args.normalize)
-    rasters = _encode_rasters(ternary, cfg, args.threads)
+        ternary = quantize_all(es)
+    rasters = [
+        generate_raster(rates_from_ternary(row, cfg), cfg, stream_id=i)
+        for i, row in enumerate(ternary.values)
+    ]
 
     os.makedirs(args.out_dir, exist_ok=True)
     out = os.path.join(args.out_dir, "rasters.jsonl")
@@ -321,14 +317,17 @@ def cmd_eval(args) -> int:
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=_env("config"), help="key-value config file")
     p.add_argument("--preset", choices=sorted(PRESETS), default=_env("preset"))
-    p.add_argument("--mode", choices=("stochastic", "lossless"), default=_env("mode"))
     # argparse applies type= to string defaults, so a bad environment
     # value is a usage error like a bad flag
-    p.add_argument("--seed", type=int, default=_env("seed"))
     p.add_argument("--window-ms", type=float, default=_env("window_ms"))
     p.add_argument("--rate-plus", type=float, default=_env("rate_plus"))
     p.add_argument("--rate-minus", type=float, default=_env("rate_minus"))
     p.add_argument("--threshold", type=float, default=_env("threshold"))
+
+
+def _add_generation_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--mode", choices=("stochastic", "lossless"), default=_env("mode"))
+    p.add_argument("--seed", type=int, default=_env("seed"))
 
 
 def _add_corpus_flags(p: argparse.ArgumentParser, embeddings_required: bool = True) -> None:
@@ -336,8 +335,6 @@ def _add_corpus_flags(p: argparse.ArgumentParser, embeddings_required: bool = Tr
                    default=_env("embeddings"))
     p.add_argument("--wordlist", default=_env("wordlist"))
     p.add_argument("--lowercase", action="store_true")
-    p.add_argument("--normalize", action="store_true",
-                   help="L2-normalize vectors before quantization")
 
 
 def _parse_composition(raw: str) -> tuple[int, int, int]:
@@ -357,6 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quantize", help="ternarize an embedding file")
     _add_corpus_flags(p)
+    p.add_argument("--normalize", action="store_true",
+                   help="L2-normalize vectors before quantization (changes gammas, not codes)")
     p.add_argument("--out-dir", default=_env("out_dir") or ".")
     p.set_defaults(func=cmd_quantize, needs_seed=False)
 
@@ -364,30 +363,34 @@ def build_parser() -> argparse.ArgumentParser:
     _add_corpus_flags(p, embeddings_required=False)
     p.add_argument("--ternary", default=_env("ternary"), help="pre-quantized input instead of --embeddings")
     _add_config_flags(p)
+    _add_generation_flags(p)
     p.add_argument("--out-dir", default=_env("out_dir") or ".")
-    p.add_argument("--threads", type=int, default=_env("threads") or 1)
+    p.add_argument("--threads", type=int, default=_env("threads") or 1,
+                   help="ignored; encoding runs on one thread")
     p.add_argument("--counts", action="store_true", help="also write counts.csv")
     p.add_argument("--plot-word", default=None, help="render one word's raster to SVG")
     p.set_defaults(func=cmd_encode, needs_seed=True)
 
+    # decoding and the error analysis read neither the mode nor the seed
     p = sub.add_parser("decode", help="decode rasters back to ternary codes")
     p.add_argument("--rasters", required=_env("rasters") is None, default=_env("rasters"))
     _add_config_flags(p)
     p.add_argument("--out-dir", default=_env("out_dir") or ".")
-    p.set_defaults(func=cmd_decode, needs_seed=False)
+    p.set_defaults(func=cmd_decode, needs_seed=False, mode=None, seed=None)
 
     p = sub.add_parser("analyze", help="exact decode-error analysis for a config")
     _add_config_flags(p)
     p.add_argument("--composition", type=_parse_composition, default=None,
                    help="n_plus,n_minus,n_zero for expected word error")
     p.add_argument("--out-dir", default=_env("out_dir"))
-    p.set_defaults(func=cmd_analyze, needs_seed=False)
+    p.set_defaults(func=cmd_analyze, needs_seed=False, mode=None, seed=None)
 
     p = sub.add_parser("eval", help="full metric report over three representations")
     _add_corpus_flags(p)
     p.add_argument("--simlex", default=_env("simlex"))
     p.add_argument("--analogies", default=_env("analogies"))
     _add_config_flags(p)
+    _add_generation_flags(p)
     p.add_argument("--out-dir", default=_env("out_dir") or ".")
     p.set_defaults(func=cmd_eval, needs_seed=True)
 
@@ -398,8 +401,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "encode" and not args.ternary and not args.embeddings:
-            raise CorpusFormatError("encode needs --embeddings or --ternary")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -117,14 +117,12 @@ def _parse_float(text: str, path: str, lineno: int) -> float:
     return value
 
 
-def load_embeddings(
-    path: str, has_header: bool | None = None, lowercase: bool = False
-) -> EmbeddingSet:
+def load_embeddings(path: str, lowercase: bool = False) -> EmbeddingSet:
     """Load a text embedding file.
 
-    Each data line is ``token v1 v2 ... vn``.  ``has_header=None``
-    auto-detects an optional first line ``count dim``.  Dimensionality must
-    be consistent; duplicate tokens and non-finite values are rejected.
+    Each data line is ``token v1 v2 ... vn``, after an optional first line
+    ``count dim``.  Dimensionality must be consistent; duplicate tokens and
+    non-finite values are rejected.
     """
     words: list[str] = []
     rows: list[list[float]] = []
@@ -138,14 +136,7 @@ def load_embeddings(
     start = 0
     if lines:
         first = lines[0].split()
-        is_header = (
-            len(first) == 2
-            and all(tok.isdigit() for tok in first)
-            and has_header is not False
-        )
-        if has_header and not is_header:
-            raise CorpusFormatError(f"{path}:1: expected 'count dim' header")
-        if is_header:
+        if len(first) == 2 and all(tok.isdigit() for tok in first):
             declared = (int(first[0]), int(first[1]))
             start = 1
 
@@ -183,15 +174,13 @@ def load_embeddings(
     return EmbeddingSet(tuple(words), np.asarray(rows, dtype=np.float64))
 
 
-def save_embeddings(es: EmbeddingSet, path: str, header: bool = False) -> None:
+def save_embeddings(es: EmbeddingSet, path: str) -> None:
     """Write an EmbeddingSet in the text format, round-trippable exactly.
 
     Uses shortest-repr float formatting so reload recovers identical
     binary floating-point values.
     """
     with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(f"{len(es.words)} {es.dim}\n")
         for word, vec in zip(es.words, es.vectors):
             fh.write(word + " " + " ".join(repr(float(v)) for v in vec) + "\n")
 

@@ -8,11 +8,11 @@ scaling and odd under negation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus_io import EmbeddingSet
+from .corpus_io import CorpusFormatError, EmbeddingSet, load_embeddings
 
 
 @dataclass(frozen=True)
@@ -32,9 +32,6 @@ class TernaryVector:
             raise ValueError("gamma == 0 implies an all-zero code")
         object.__setattr__(self, "values", vals)
 
-    def __len__(self) -> int:
-        return len(self.values)
-
 
 @dataclass(frozen=True)
 class TernarySet:
@@ -43,7 +40,6 @@ class TernarySet:
     words: tuple[str, ...]
     values: np.ndarray  # (n_words, dim) int8
     gammas: np.ndarray | None = None
-    _index: dict[str, int] = field(repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.int8)
@@ -57,7 +53,6 @@ class TernarySet:
             if g.shape != (len(self.words),):
                 raise ValueError("one gamma per word required")
             object.__setattr__(self, "gammas", g)
-        object.__setattr__(self, "_index", {w: i for i, w in enumerate(self.words)})
 
     @property
     def dim(self) -> int:
@@ -65,9 +60,6 @@ class TernarySet:
 
     def __len__(self) -> int:
         return len(self.words)
-
-    def code(self, word: str) -> np.ndarray:
-        return self.values[self._index[word]]
 
     def as_map(self) -> dict[str, np.ndarray]:
         return {w: self.values[i].astype(np.float64) for i, w in enumerate(self.words)}
@@ -139,8 +131,6 @@ def save_ternary(ts: TernarySet, path: str, gamma_path: str | None = None) -> No
 
 def load_ternary(path: str, gamma_path: str | None = None) -> TernarySet:
     """Read a ternary text file (and optional gamma sidecar) back."""
-    from .corpus_io import CorpusFormatError, load_embeddings
-
     es = load_embeddings(path)
     values = es.vectors
     if not np.isin(values, (-1.0, 0.0, 1.0)).all():

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantizer import TernarySet, TernaryVector
+from .quantizer import TernarySet, TernaryVector, quantize_all
 
 
 class ConfigError(ValueError):
@@ -139,9 +139,6 @@ class RateVector:
             raise ValueError("rates must be finite and nonnegative")
         object.__setattr__(self, "rates_hz", rates)
 
-    def __len__(self) -> int:
-        return len(self.rates_hz)
-
 
 class SpikeRaster:
     """Spike times of one word, stored flat.
@@ -195,9 +192,9 @@ class SpikeRaster:
             )
 
 
-def rates_from_ternary(t: TernaryVector | np.ndarray, cfg: CodecConfig) -> RateVector:
+def rates_from_ternary(codes: np.ndarray, cfg: CodecConfig) -> RateVector:
     """Map ternary codes to firing rates: +1/0/-1 -> rate_plus/0/rate_minus."""
-    values = t.values if isinstance(t, TernaryVector) else np.asarray(t)
+    values = np.asarray(codes)
     rates = np.zeros(len(values), dtype=np.float64)
     rates[values == 1] = cfg.rate_plus_hz
     rates[values == -1] = cfg.rate_minus_hz
@@ -271,8 +268,6 @@ def roundtrip(es, cfg: CodecConfig) -> RoundTripResult:
     stream_id is the word's vocabulary index, making per-word generation
     independent of processing order.
     """
-    from .quantizer import quantize_all
-
     ternary = quantize_all(es)
     decoded = np.empty_like(ternary.values)
     k_star = cfg.count_threshold
@@ -296,25 +291,27 @@ def poisson_pmf(k: int, lam: float) -> float:
 
 
 def poisson_cdf(k: int, lam: float) -> float:
-    """P(X <= k) by direct summation."""
-    if k < 0:
-        return 0.0
-    return min(1.0, math.fsum(poisson_pmf(i, lam) for i in range(k + 1)))
+    """P(X <= k).  Below the mean, by exact summation from k down: the terms
+    shrink as i falls, so after the first that underflows to 0.0 all are
+    0.0.  At or above the mean, 1 - P(X >= k + 1)."""
+    if k >= lam:
+        return max(0.0, 1.0 - poisson_sf_ge(k + 1, lam))
+    terms = (poisson_pmf(i, lam) for i in range(k, -1, -1))
+    return math.fsum(itertools.takewhile(lambda p: p > 0.0, terms))
 
 
 def poisson_sf_ge(k: int, lam: float) -> float:
-    """P(X >= k), summed upward from k so tiny tails keep full precision."""
-    if k <= 0:
-        return 1.0
-    term = poisson_pmf(k, lam)
-    total = term
+    """P(X >= k).  Above the mean, summed upward from k so tiny tails keep
+    full precision; at or below it, 1 - P(X <= k - 1)."""
+    if k <= lam:
+        return max(0.0, 1.0 - poisson_cdf(k - 1, lam))
+    term = total = poisson_pmf(k, lam)
     i = k
-    while True:
+    while term > total * 1e-17:
         i += 1
         term *= lam / i
         total += term
-        if i > lam and term < total * 1e-17:
-            return min(1.0, total)
+    return min(1.0, total)
 
 
 @dataclass(frozen=True)
@@ -381,12 +378,14 @@ def threshold_curve(cfg: CodecConfig) -> list[ErrorAnalysis]:
     The curve depends on the window and rates only, not on the
     configured threshold.
     """
-    lam_minus, lam_plus = cfg.lambda_minus, cfg.lambda_plus
-    lo = math.floor(lam_minus) + 1
-    hi = math.floor(lam_plus + 1e-9)
-    if hi < lo:
+    return [_error_analysis(cfg.lambda_minus, cfg.lambda_plus, k) for k in _thresholds(cfg)]
+
+
+def _thresholds(cfg: CodecConfig) -> range:
+    ks = range(math.floor(cfg.lambda_minus) + 1, math.floor(cfg.lambda_plus + 1e-9) + 1)
+    if not ks:
         raise ConfigError("no integer count threshold separates the two rates")
-    return [_error_analysis(lam_minus, lam_plus, k) for k in range(lo, hi + 1)]
+    return ks
 
 
 def rate_spread(cfg: CodecConfig) -> dict[str, tuple[float, float]]:
@@ -404,11 +403,18 @@ def rate_spread(cfg: CodecConfig) -> dict[str, tuple[float, float]]:
 def suggest_threshold(cfg: CodecConfig) -> tuple[float, float]:
     """The count threshold on threshold_curve with the least total error.
 
-    Returns (k / window in Hz, total_error at that k), the same total
-    that misclassification_probabilities reports for k; ties go to the
+    Raising k by one changes the total by pmf(k; lambda_plus) -
+    pmf(k; lambda_minus), which turns positive once k passes
+    (lambda_plus - lambda_minus) / ln(lambda_plus / lambda_minus), so only
+    the first k past that point and, against rounding, its neighbours are
+    evaluated.  Returns (k / window in Hz, total_error at that k), the same
+    total misclassification_probabilities reports for k; ties go to the
     larger k.
     """
-    best = min(threshold_curve(cfg), key=lambda a: (a.total_error, -a.count_threshold))
+    ks, lam_minus, lam_plus = _thresholds(cfg), cfg.lambda_minus, cfg.lambda_plus
+    k = math.floor((lam_plus - lam_minus) / math.log(lam_plus / lam_minus)) + 1
+    near = [_error_analysis(lam_minus, lam_plus, j) for j in range(max(ks.start, k - 1), min(ks.stop, k + 2))]
+    best = min(near, key=lambda a: (a.total_error, -a.count_threshold))
     return best.count_threshold / cfg.window_s, best.total_error
 
 
@@ -429,7 +435,10 @@ def write_raster_jsonl(path: str, words, rasters) -> None:
 
 
 def read_raster_jsonl(path: str) -> tuple[list[str], list[SpikeRaster]]:
+    """Read a raster export back; every record must have a distinct word
+    that is one whitespace-free token, and the same number of dimensions."""
     words, rasters = [], []
+    line_of: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -437,6 +446,9 @@ def read_raster_jsonl(path: str) -> tuple[list[str], list[SpikeRaster]]:
             try:
                 record = json.loads(line)
                 word = record["word"]
+                # decoded codes are written as "word v1 ... vn" lines
+                if not isinstance(word, str) or word.split() != [word]:
+                    raise ValueError(f"word must be one token without whitespace, got {word!r}")
                 window_s = float(record["window_ms"]) / 1000.0
                 trains = record["trains"]
                 if not isinstance(trains, list) or not all(isinstance(t, list) for t in trains):
@@ -451,8 +463,13 @@ def read_raster_jsonl(path: str) -> tuple[list[str], list[SpikeRaster]]:
                 ) / 1000.0
                 if not np.all(np.isfinite(times)):
                     raise ValueError("spike times must be finite numbers")
+                if word in line_of:
+                    raise ValueError(f"word {word!r} repeats line {line_of[word]}")
+                if rasters and len(counts) != len(rasters[0]):
+                    raise ValueError(f"{len(counts)} dimensions, the first record has {len(rasters[0])}")
             except (KeyError, ValueError, TypeError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad raster record: {exc}") from exc
+            line_of[word] = lineno
             words.append(word)
             rasters.append(SpikeRaster(window_s, times, counts))
     return words, rasters

@@ -1,10 +1,14 @@
+import argparse
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from word2spike.cli import main
+import word2spike
+from word2spike.cli import build_parser, main
 
 from conftest import write_lines
 from test_spike_codec import BAD_RECORDS, GOOD_RECORD
@@ -117,6 +121,22 @@ class TestEncodeCmd:
         assert f"invalid {kind} value: '{value}'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("name, value", [("MODE", "quantum")])
+    def test_bad_env_choice_exit_4(self, tmp_path, emb_file, monkeypatch, capsys, name, value):
+        monkeypatch.setenv("WORD2SPIKE_" + name, value)
+        assert main(["encode", "--embeddings", emb_file, "--out-dir", str(tmp_path / "o")]) == 4
+        assert value in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--embeddings", "--wordlist", "--lowercase"])
+    def test_ternary_rejects_corpus_flags(self, tmp_path, emb_file, capsys, flag):
+        qdir, out = str(tmp_path / "q"), tmp_path / "e"
+        assert main(["quantize", "--embeddings", emb_file, "--out-dir", qdir]) == 0
+        extra = [flag] if flag == "--lowercase" else [flag, emb_file]
+        assert main(["encode", "--ternary", os.path.join(qdir, "ternary.txt"), *extra,
+                     "--mode", "lossless", "--out-dir", str(out)]) == 2
+        assert f"--ternary cannot be combined with {flag}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("lines, rc", [(["seed = 3"], 0), (["# seed = 3", "window_s = 0.2"], 4)])
     def test_config_file_seed_counts_as_explicit(self, tmp_path, emb_file, lines, rc):
         cfg = write_lines(tmp_path / "codec.cfg", lines)
@@ -179,11 +199,29 @@ class TestAnalyzeCmd:
     def test_equal_rates_exit_4(self):
         assert main(["analyze", "--rate-minus", "100"]) == 4
 
-    @pytest.mark.parametrize("name, value", [("PRESET", "paper-1s"), ("MODE", "quantum")])
+    @pytest.mark.parametrize("name, value", [("PRESET", "paper-1s")])
     def test_bad_env_choice_exit_4(self, monkeypatch, capsys, name, value):
         monkeypatch.setenv("WORD2SPIKE_" + name, value)
         assert main(["analyze"]) == 4
         assert value in capsys.readouterr().err
+
+    def test_config_file_mode_and_seed_still_load(self, tmp_path):
+        cfg = write_lines(tmp_path / "codec.cfg", ["mode = stochastic", "seed = 3"])
+        assert main(["analyze", "--config", cfg]) == 0
+
+    @pytest.mark.parametrize("rates", [["--rate-minus", "1e-21"],
+                                       ["--rate-plus", "1e7", "--rate-minus", "1e6",
+                                        "--threshold", "5e6"]],
+                             ids=["tiny-rate-minus", "huge-rates"])
+    def test_extreme_rates_finish(self, rates):
+        # the first term of a Poisson tail underflows to 0.0 here; run in a
+        # subprocess so a hang fails on the timeout
+        src = os.path.dirname(os.path.dirname(word2spike.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-m", "word2spike.cli", "analyze", *rates],
+                              env=env, capture_output=True, text=True, timeout=30)
+        assert done.returncode == 0, done.stderr
+        assert "suggested threshold" in done.stdout
 
 
 class TestEvalCmd:
@@ -235,6 +273,28 @@ class TestEvalCmd:
         assert main(["eval", "--embeddings", emb_file, "--simlex",
                      str(tmp_path / "no.tsv"), "--mode", "lossless",
                      "--out-dir", str(tmp_path)]) == 2
+
+
+CONFIG_FLAGS = {"--config", "--preset", "--window-ms", "--rate-plus", "--rate-minus", "--threshold"}
+CORPUS_FLAGS = {"--embeddings", "--wordlist", "--lowercase"}
+GENERATION_FLAGS = {"--mode", "--seed"}
+FLAGS = {
+    "quantize": CORPUS_FLAGS | {"--normalize", "--out-dir"},
+    "encode": CORPUS_FLAGS | CONFIG_FLAGS | GENERATION_FLAGS
+              | {"--ternary", "--out-dir", "--threads", "--counts", "--plot-word"},
+    "decode": CONFIG_FLAGS | {"--rasters", "--out-dir"},
+    "analyze": CONFIG_FLAGS | {"--composition", "--out-dir"},
+    "eval": CORPUS_FLAGS | CONFIG_FLAGS | GENERATION_FLAGS | {"--simlex", "--analogies", "--out-dir"},
+}
+
+
+def test_flag_set_of_each_subcommand():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {
+        name: {opt for a in p._actions if not isinstance(a, argparse._HelpAction) for opt in a.option_strings}
+        for name, p in sub.choices.items()
+    }
+    assert flags == FLAGS
 
 
 def test_standin_analogy_file_parses():

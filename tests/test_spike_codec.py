@@ -260,6 +260,17 @@ class TestExactPoisson:
         assert poisson_cdf(k, lam) == pytest.approx(st.poisson.cdf(k, lam), rel=1e-12)
         assert poisson_sf_ge(k, lam) == pytest.approx(st.poisson.sf(k - 1, lam), rel=1e-10)
 
+    # k on both sides of lam; pmf(k) underflows to 0.0 in the first four cases
+    @pytest.mark.parametrize("k, lam", [(15, 2e-22), (10**6, 2e5), (100, 5000.0), (1, 1e6),
+                                        (400, 500.0), (600, 500.0), (40, 40.0), (3 * 10**6, 2e6)])
+    def test_tails_on_both_sides_of_lam(self, k, lam):
+        assert poisson_sf_ge(k, lam) == pytest.approx(st.poisson.sf(k - 1, lam), rel=1e-10, abs=1e-300)
+        assert poisson_cdf(k - 1, lam) == pytest.approx(st.poisson.cdf(k - 1, lam), rel=1e-10, abs=1e-300)
+
+    @pytest.mark.parametrize("k, lam", [(14, 20.0), (5, 80.0), (400, 500.0), (99_999, 2e5)])
+    def test_cdf_below_the_mean_equals_the_sum_of_every_term(self, k, lam):
+        assert poisson_cdf(k, lam) == math.fsum(poisson_pmf(i, lam) for i in range(k + 1))
+
     def test_misclassification_defaults(self):
         analysis = misclassification_probabilities(CodecConfig())
         assert analysis.count_threshold == 15
@@ -329,6 +340,19 @@ class TestSuggestThreshold:
         assert err == misclassification_probabilities(at_k).total_error
 
 
+    @pytest.mark.parametrize("window_s, rate_minus, rate_plus", [
+        (0.2, 50.0, 100.0), (0.4, 25.0, 200.0), (1.0, 0.7, 3.0), (0.05, 10.0, 400.0),
+        (2.0, 21.25, 195.8), (0.25, 11.4, 566.8), (0.4, 90.86, 3502.3), (1.0, 60.0, 1877.0),
+    ])
+    def test_error_is_the_curve_minimum(self, window_s, rate_minus, rate_plus):
+        # the last four have float plateaus, where several k share the least total
+        cfg = CodecConfig(window_s=window_s, rate_minus_hz=rate_minus, rate_plus_hz=rate_plus,
+                          threshold_hz=(rate_minus + rate_plus) / 2)
+        hz, err = suggest_threshold(cfg)
+        totals = {a.count_threshold: a.total_error for a in threshold_curve(cfg)}
+        assert err == min(totals.values()) == totals[round(hz * window_s)]
+
+
 class TestThresholdCurve:
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_matches_scipy_on_every_row(self, name):
@@ -380,6 +404,10 @@ BAD_RECORDS = {
     "non-list train": '{"word":"b","window_ms":200.0,"trains":[[1.0],5]}',
     "string train": '{"word":"b","window_ms":200.0,"trains":["123"]}',
     "non-list trains": '{"word":"b","window_ms":200.0,"trains":7}',
+    "non-string word": '{"word":5,"window_ms":200.0,"trains":[[],[]]}',
+    "word with whitespace": '{"word":"a b","window_ms":200.0,"trains":[[],[]]}',
+    "repeated word": '{"word":"a","window_ms":200.0,"trains":[[],[]]}',
+    "unequal dimension": '{"word":"b","window_ms":200.0,"trains":[[]]}',
 }
 
 

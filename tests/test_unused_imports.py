@@ -1,0 +1,41 @@
+"""Every name a module imports is used in that module.
+
+Covers the package modules (``__init__.py`` re-exports on purpose) and the
+scripts.  There is no linter in this project, so this is the check.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(
+    [p for p in (ROOT / "src" / "word2spike").glob("*.py") if p.name != "__init__.py"]
+    + list((ROOT / "scripts").glob("*.py"))
+)
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by import statements that no other expression reads."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def test_checker_finds_an_unused_name():
+    source = "import os\nimport numpy as np\nfrom json import dumps, loads\nnp.zeros(loads('1'))\n"
+    assert unused_imports(source) == ["os (line 1)", "dumps (line 3)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
