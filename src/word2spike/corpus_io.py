@@ -149,7 +149,16 @@ def load_embeddings(path: str, lowercase: bool = False) -> EmbeddingSet:
         token = parts[0].lower() if lowercase else parts[0]
         if token in seen:
             raise CorpusFormatError(f"{path}:{lineno}: duplicate token {token!r}")
-        values = [_parse_float(v, path, lineno) for v in parts[1:]]
+        # a sum is finite unless a value is not (or the sum overflows), so
+        # only a line failing float() or the sum is parsed again, value by
+        # value, for the first error's message
+        try:
+            values = list(map(float, parts[1:]))
+            finite = math.isfinite(sum(values))
+        except ValueError:
+            finite = False
+        if not finite:
+            values = [_parse_float(v, path, lineno) for v in parts[1:]]
         if dim is None:
             dim = len(values)
             if declared is not None and declared[1] != dim:

@@ -16,6 +16,7 @@ normal approximation.
 
 from __future__ import annotations
 
+import csv
 import itertools
 import json
 import math
@@ -420,18 +421,92 @@ def suggest_threshold(cfg: CodecConfig) -> tuple[float, float]:
 
 # --- serialization ------------------------------------------------------------
 
+# rasters are formatted in blocks of about this many spikes, each
+# dimension counting as one more (an empty one takes a row of its own), so
+# the byte matrix and its index arrays stay at a few MB at any dimension
+_BLOCK_SPIKES = 2**16
+
+# the decimals of f / 1000 ms for each f < 1000, as json.dumps writes a
+# float: trailing zeros dropped, but ".0" for a whole number; the last row
+# is the blank of an empty dimension (0 bytes are dropped from the output)
+_DECIMALS = np.frombuffer(
+    b"".join(f".{f:03d}".rstrip("0").ljust(2, "0").ljust(4, "\0").encode() for f in range(1000))
+    + bytes(4),
+    np.uint8,
+).reshape(1001, 4)
+
+
 def write_raster_jsonl(path: str, words, rasters) -> None:
-    """JSON Lines raster export: one record per word, times in ms (3 dp)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for word, raster in zip(words, rasters):
-            ms = np.round(raster.times * 1000.0, 3).tolist()
-            ends = np.cumsum(raster.counts()).tolist()
-            record = {
-                "word": word,
-                "window_ms": round(raster.window_s * 1000.0, 6),
-                "trains": [ms[start:end] for start, end in zip([0] + ends, ends)],
-            }
-            fh.write(json.dumps(record, separators=(",", ":")) + "\n")
+    """JSON Lines raster export: one record per word, times in ms (3 dp).
+
+    A record is ``{"word":..,"window_ms":..,"trains":[[t, ..], ..]}`` with
+    no spaces, each time written as json.dumps writes the float
+    ``np.round(t * 1000, 3)``.  Raises ValueError naming the word for a
+    negative or non-finite time, or one that rounds to 1e9 ms or more.
+    """
+    with open(path, "wb") as fh:
+        block, size = [], 0
+        for record in zip(words, rasters):
+            block.append(record)
+            size += len(record[1].times) + len(record[1])
+            if size >= _BLOCK_SPIKES:
+                fh.write(_format_records(block))
+                block, size = [], 0
+        if block:
+            fh.write(_format_records(block))
+
+
+def _format_records(block) -> bytes:
+    """The JSONL bytes of a list of (word, raster) records.
+
+    Each spike, and each empty dimension, is one row of a byte matrix: "["
+    if it opens its dimension, the time's digits, then "," or "],".  Unused
+    cells hold 0, which no output byte is, so dropping every 0 leaves the
+    trains text with one comma too many at the end.
+    """
+    rasters = [raster for _, raster in block]
+    times = np.concatenate([r.times for r in rasters])
+    counts = np.concatenate([r.counts() for r in rasters])
+    # np.round(x, 3) is rint(x * 1000) / 1000, so with the products in this
+    # order these are exactly the microsecond ticks behind each written value
+    ticks = np.rint((times * 1000.0) * 1000.0)
+    bad = np.signbit(times) | ~(ticks < 1e12)  # NaN compares false
+    if bad.any():
+        spikes = np.cumsum([len(r.times) for r in rasters])
+        word = block[int(np.searchsorted(spikes, np.argmax(bad), side="right"))][0]
+        raise ValueError(f"word {word!r}: spike times must be finite, nonnegative and below 1e9 ms")
+    # below 1e12 ticks, the shortest repr of ticks / 1000 is its decimal
+    # form: two 3-decimal values lie 0.001 apart, far more than one ulp,
+    # and no exponent form applies
+    ms, decimals = np.divmod(ticks.astype(np.int64), 1000)
+    n_int = len(str(ms.max())) if ms.size else 1
+
+    rows = np.maximum(counts, 1)
+    ends = np.cumsum(rows)
+    spiking = np.repeat(counts > 0, rows)
+    row_ms = np.zeros(len(spiking), np.int64)
+    row_ms[spiking] = ms
+    row_decimals = np.full(len(spiking), 1000)
+    row_decimals[spiking] = decimals
+    buf = np.zeros((len(spiking), n_int + 7), np.uint8)  # "[", digits, ".ddd", "],"
+    buf[ends - rows, 0] = ord("[")
+    # integer digits right-aligned, units last; a leading zero stays blank
+    buf[:, n_int] = np.where(spiking, row_ms % 10 + ord("0"), 0)
+    for col in range(n_int - 1, 0, -1):
+        row_ms //= 10
+        buf[:, col] = np.where(row_ms > 0, row_ms % 10 + ord("0"), 0)
+    buf[:, n_int + 1:n_int + 5] = _DECIMALS[row_decimals]
+    buf[:, -2] = ord(",")
+    buf[ends - 1, -2:] = np.frombuffer(b"],", np.uint8)
+
+    bounds = np.concatenate(([0], ends))[np.cumsum([0] + [len(r) for r in rasters])].tolist()
+    parts = []
+    for i, (word, raster) in enumerate(block):
+        window_ms = json.dumps(round(raster.window_s * 1000.0, 6))
+        trains = buf[bounds[i]:bounds[i + 1]]
+        parts += (f'{{"word":{json.dumps(word)},"window_ms":{window_ms},"trains":['.encode(),
+                  trains[trains != 0].tobytes()[:-1], b"]}\n")
+    return b"".join(parts)
 
 
 def read_raster_jsonl(path: str) -> tuple[list[str], list[SpikeRaster]]:
@@ -449,7 +524,11 @@ def read_raster_jsonl(path: str) -> tuple[list[str], list[SpikeRaster]]:
                 # decoded codes are written as "word v1 ... vn" lines
                 if not isinstance(word, str) or word.split() != [word]:
                     raise ValueError(f"word must be one token without whitespace, got {word!r}")
-                window_s = float(record["window_ms"]) / 1000.0
+                window_ms = record["window_ms"]
+                # exact types again: float() would take "200" and true
+                if type(window_ms) not in (int, float) or not 0 < window_ms < math.inf:
+                    raise ValueError(f"window_ms must be a positive finite number, got {window_ms!r}")
+                window_s = float(window_ms) / 1000.0
                 trains = record["trains"]
                 if not isinstance(trains, list) or not all(isinstance(t, list) for t in trains):
                     raise ValueError("trains must be a list of lists of spike times")
@@ -467,7 +546,7 @@ def read_raster_jsonl(path: str) -> tuple[list[str], list[SpikeRaster]]:
                     raise ValueError(f"word {word!r} repeats line {line_of[word]}")
                 if rasters and len(counts) != len(rasters[0]):
                     raise ValueError(f"{len(counts)} dimensions, the first record has {len(rasters[0])}")
-            except (KeyError, ValueError, TypeError) as exc:
+            except (KeyError, ValueError, TypeError, OverflowError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad raster record: {exc}") from exc
             line_of[word] = lineno
             words.append(word)
@@ -476,7 +555,9 @@ def read_raster_jsonl(path: str) -> tuple[list[str], list[SpikeRaster]]:
 
 
 def write_counts_csv(path: str, words, rasters) -> None:
-    """Compact export: word,c1,c2,...,cn spike counts per dimension."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Compact export: word,c1,c2,...,cn spike counts per dimension.  A
+    word holding a comma or a quote is quoted by the csv module's rules."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
         for word, raster in zip(words, rasters):
-            fh.write(word + "," + ",".join(map(str, raster.counts().tolist())) + "\n")
+            writer.writerow([word, *raster.counts().tolist()])

@@ -48,6 +48,47 @@ class TestLoadEmbeddings:
         with pytest.raises(CorpusFormatError, match="non-finite"):
             load_embeddings(path)
 
+    # the messages the per-value parser gave before values were parsed in bulk
+    @pytest.mark.parametrize("token, message", [
+        ("abc", "unparsable number 'abc'"),
+        ("nan", "non-finite value 'nan'"),
+        ("-inf", "non-finite value '-inf'"),
+        ("1e999", "non-finite value '1e999'"),
+    ])
+    @pytest.mark.parametrize("header", [[], ["3 2"]])
+    def test_bad_token_message_names_line(self, tmp_path, token, message, header):
+        lines = header + ["a 1 2", "", "   ", f"b 0.5 {token}", "c 1 x"]
+        path = write_lines(tmp_path / "e.txt", lines)
+        with pytest.raises(CorpusFormatError) as exc:
+            load_embeddings(path)
+        assert str(exc.value) == f"{path}:{len(header) + 4}: {message}"
+
+    @pytest.mark.parametrize("lines, lineno, message", [
+        # the first value that fails on a line wins, as it did value by value
+        (["a nan abc"], 1, "non-finite value 'nan'"),
+        (["a abc nan"], 1, "unparsable number 'abc'"),
+        # a non-finite value comes before a wrong count on the same line
+        (["a 1 2", "b inf 2 3"], 2, "non-finite value 'inf'"),
+        (["2 3", "a 1 nan"], 2, "non-finite value 'nan'"),
+    ])
+    def test_first_error_wins(self, tmp_path, lines, lineno, message):
+        path = write_lines(tmp_path / "e.txt", lines)
+        with pytest.raises(CorpusFormatError) as exc:
+            load_embeddings(path)
+        assert str(exc.value) == f"{path}:{lineno}: {message}"
+
+    def test_overflowing_sum_is_not_an_error(self, tmp_path):
+        path = write_lines(tmp_path / "e.txt", ["a 1e308 1e308 -1e308"])
+        assert load_embeddings(path).vectors.tolist() == [[1e308, 1e308, -1e308]]
+
+    def test_values_equal_float_of_each_token(self, tmp_path):
+        rng = np.random.default_rng(9)
+        values = rng.standard_normal((50, 40)) * 10.0 ** rng.integers(-12, 12, (50, 40))
+        tokens = [[f"{v:.{p}g}" for v, p in zip(row, rng.integers(1, 18, 40))] for row in values]
+        tokens[0][:4] = ["3", "-0", "+1e-5", "1_000"]  # all float() syntax
+        path = write_lines(tmp_path / "e.txt", [f"w{i} " + " ".join(row) for i, row in enumerate(tokens)])
+        assert np.array_equal(load_embeddings(path).vectors, [[float(t) for t in row] for row in tokens])
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "e.txt"
         path.write_text("")

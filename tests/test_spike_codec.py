@@ -1,6 +1,8 @@
+import csv
 import dataclasses
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import scipy.stats as st
 from hypothesis import given, settings
 from hypothesis import strategies as st_h
 
+from word2spike import spike_codec
 from word2spike.corpus_io import EmbeddingSet
 from word2spike.quantizer import quantize_all
 from word2spike.spike_codec import (
@@ -408,7 +411,43 @@ BAD_RECORDS = {
     "word with whitespace": '{"word":"a b","window_ms":200.0,"trains":[[],[]]}',
     "repeated word": '{"word":"a","window_ms":200.0,"trains":[[],[]]}',
     "unequal dimension": '{"word":"b","window_ms":200.0,"trains":[[]]}',
+    "NaN window": '{"word":"b","window_ms":NaN,"trains":[[],[]]}',
+    "string window": '{"word":"b","window_ms":"200","trains":[[],[]]}',
+    "boolean window": '{"word":"b","window_ms":true,"trains":[[],[]]}',
+    "negative window": '{"word":"b","window_ms":-3,"trains":[[],[]]}',
+    "oversized time": '{"word":"b","window_ms":200.0,"trains":[[1' + "0" * 400 + '],[]]}',
 }
+
+
+def spike_times(window_s):
+    """Spike times in [0, window_s) s, often on a formatting edge."""
+    last_tick = int(window_s * 1e6) - 1
+    return st_h.one_of(
+        st_h.floats(0.0, window_s, exclude_max=True),
+        # microsecond ticks ending in 000, 100, 010 and 001
+        st_h.builds(lambda ms, tail: (ms * 1000 + tail) / 1e6,
+                    st_h.integers(0, last_tick // 1000), st_h.sampled_from([0, 100, 10, 1])),
+        # just below a tick's rounding boundary at .0005 ms, and on it
+        st_h.builds(lambda n, below: float(np.nextafter((n + 0.5) / 1e6, 0.0)) if below else (n + 0.5) / 1e6,
+                    st_h.integers(0, last_tick), st_h.booleans()),
+        st_h.just(float(np.nextafter(window_s, 0.0))),
+    )
+
+
+SPIKE_TIMES = {window_s: spike_times(window_s) for window_s in (0.2, 0.4, 1.0, 123.456)}
+
+
+@st_h.composite
+def raster_records(draw):
+    """Rasters with any dimension, zero and all-empty ones included."""
+    n_dims = draw(st_h.integers(0, 6))
+    rasters = []
+    for _ in range(draw(st_h.integers(1, 5))):
+        window_s = draw(st_h.sampled_from(sorted(SPIKE_TIMES)))
+        counts = draw(st_h.lists(st_h.integers(0, 4), min_size=n_dims, max_size=n_dims))
+        times = draw(st_h.lists(SPIKE_TIMES[window_s], min_size=sum(counts), max_size=sum(counts)))
+        rasters.append(SpikeRaster(window_s, times, counts))
+    return rasters
 
 
 class TestSerialization:
@@ -448,6 +487,72 @@ class TestSerialization:
         path = tmp_path / "r.jsonl"
         write_raster_jsonl(str(path), words, rasters)
         assert path.read_text(encoding="utf-8") == reference_jsonl(words, rasters)
+
+    @settings(max_examples=200, deadline=None)
+    @given(raster_records(), st_h.sampled_from([1, 3, 7, 2**16]))
+    def test_jsonl_bytes_match_reference_on_edges(self, tmp_path_factory, rasters, block):
+        words = [f"w{i}" for i in range(len(rasters))]
+        path = tmp_path_factory.mktemp("jsonl") / "r.jsonl"
+        with mock.patch.object(spike_codec, "_BLOCK_SPIKES", block):
+            write_raster_jsonl(str(path), words, rasters)
+        assert path.read_text(encoding="utf-8") == reference_jsonl(words, rasters)
+
+    def test_jsonl_words_that_need_escapes(self, tmp_path):
+        words = ["\u00e9t\u00e9", 'say"hi', "back\\slash", "\u65e5\u672c"]
+        rasters = [raster_from_counts(c) for c in ([1, 0], [0, 0], [2, 3], [0, 1])]
+        path = tmp_path / "r.jsonl"
+        write_raster_jsonl(str(path), words, rasters)
+        assert path.read_text(encoding="utf-8") == reference_jsonl(words, rasters)
+        assert read_raster_jsonl(str(path))[0] == words
+
+    # 11 words of 6 dimensions and 807 rows: blocks of 1 and 3 hold one
+    # word each, 7 joins the word without spikes to the next, and 150 holds
+    # two or three words and leaves one word over
+    @pytest.mark.parametrize("block", [1, 3, 7, 150])
+    def test_jsonl_block_boundaries(self, tmp_path, monkeypatch, block):
+        cfg = CodecConfig(seed=13)
+        codes = np.random.default_rng(13).choice(np.array([-1, 0, 1], dtype=np.int8), size=(11, 6))
+        codes[4] = 0
+        rasters = [generate_raster(rates_from_ternary(c, cfg), cfg, i) for i, c in enumerate(codes)]
+        words = [f"w{i}" for i in range(len(codes))]
+        monkeypatch.setattr(spike_codec, "_BLOCK_SPIKES", block)
+        path = tmp_path / "r.jsonl"
+        write_raster_jsonl(str(path), words, rasters)
+        assert path.read_text(encoding="utf-8") == reference_jsonl(words, rasters)
+
+    def test_jsonl_rounds_half_ticks_as_np_round(self, tmp_path):
+        # on and just below each .0005 ms boundary, rint(t * 1e6) and
+        # rint(t * 1000 * 1000) differ for about one time in ten
+        half = (np.arange(2000) + 0.5) / 1e6
+        times = np.sort(np.concatenate([half, np.nextafter(half, 0.0)]))
+        rasters = [SpikeRaster(0.2, times, [len(times)])]
+        path = tmp_path / "r.jsonl"
+        write_raster_jsonl(str(path), ["w"], rasters)
+        assert path.read_text(encoding="utf-8") == reference_jsonl(["w"], rasters)
+
+    def test_jsonl_largest_writable_time(self, tmp_path):
+        rasters = [SpikeRaster(1e7, [0.0, 999_999.999999], [2])]
+        path = tmp_path / "r.jsonl"
+        write_raster_jsonl(str(path), ["w"], rasters)
+        assert path.read_text(encoding="utf-8") == reference_jsonl(["w"], rasters)
+        assert "999999999.999]" in path.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("bad_time", [-0.001, -0.0, math.nan, math.inf, 1e6, 1e300])
+    def test_jsonl_rejects_unwritable_time(self, tmp_path, bad_time):
+        rasters = [raster_from_counts([1, 2]), SpikeRaster(1e7, [0.1, bad_time], [1, 1])]
+        with pytest.raises(ValueError, match="word 'second'"):
+            write_raster_jsonl(str(tmp_path / "r.jsonl"), ["first", "second"], rasters)
+
+    def test_counts_csv_quotes_commas_and_quotes(self, tmp_path):
+        path = str(tmp_path / "c.csv")
+        words = ["a,b", 'say"hi', "plain"]
+        write_counts_csv(path, words, [raster_from_counts([20, 0, 10])] * 3)
+        with open(path, encoding="utf-8", newline="") as fh:
+            text = fh.read()
+            fh.seek(0)
+            rows = list(csv.reader(fh))
+        assert text.splitlines()[2] == "plain,20,0,10"
+        assert rows == [[w, "20", "0", "10"] for w in words]
 
     @pytest.mark.parametrize("bad", sorted(BAD_RECORDS))
     def test_malformed_record_names_line(self, tmp_path, bad):
