@@ -15,7 +15,7 @@ from .corpus_io import (
     load_wordlist,
     restrict,
 )
-from .quantizer import TernarySet, TernaryVector, absmean_gamma, quantize, quantize_all
+from .quantizer import TernarySet, TernaryVector, quantize, quantize_all
 from .spike_codec import (
     CodecConfig,
     ConfigError,

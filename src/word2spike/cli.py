@@ -19,6 +19,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import shlex
 import sys
 import tempfile
 from datetime import datetime, timezone
@@ -88,9 +89,10 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def write_manifest(out_dir: str, cfg: CodecConfig | None, inputs: dict[str, str]) -> None:
+def write_manifest(args, cfg: CodecConfig | None, inputs: dict[str, str]) -> None:
+    """Write manifest.json into args.out_dir, recording args.command_line."""
     manifest = {
-        "command": sys.argv,
+        "command": args.command_line,
         "tool_version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "config": dataclasses.asdict(cfg) if cfg is not None else None,
@@ -99,7 +101,7 @@ def write_manifest(out_dir: str, cfg: CodecConfig | None, inputs: dict[str, str]
     }
     text = json.dumps(manifest, indent=2) + "\n"
     _atomic_writer(
-        os.path.join(out_dir, "manifest.json"), lambda tmp: Path(tmp).write_text(text, encoding="utf-8")
+        os.path.join(args.out_dir, "manifest.json"), lambda tmp: Path(tmp).write_text(text, encoding="utf-8")
     )
 
 
@@ -152,16 +154,10 @@ def _load_input_set(args):
 
 def cmd_quantize(args) -> int:
     es, missing = _load_input_set(args)
-    ternary = quantize_all(es, normalize=args.normalize)
+    ternary = quantize_all(es)
     os.makedirs(args.out_dir, exist_ok=True)
-    out = os.path.join(args.out_dir, "ternary.txt")
-    gammas = os.path.join(args.out_dir, "gammas.txt")
-
-    def write(tmp: str) -> None:
-        _atomic_writer(gammas, lambda gamma_tmp: save_ternary(ternary, tmp, gamma_path=gamma_tmp))
-
-    _atomic_writer(out, write)
-    write_manifest(args.out_dir, None, {"embeddings": args.embeddings, "wordlist": args.wordlist})
+    _atomic_writer(os.path.join(args.out_dir, "ternary.txt"), lambda tmp: save_ternary(ternary, tmp))
+    write_manifest(args, None, {"embeddings": args.embeddings, "wordlist": args.wordlist})
     print(f"quantized {len(ternary)} words (dim {ternary.dim}), {missing} wordlist misses")
     return EXIT_OK
 
@@ -178,6 +174,8 @@ def cmd_encode(args) -> int:
     else:
         es, _ = _load_input_set(args)
         ternary = quantize_all(es)
+    # a plot that cannot be drawn fails the run before anything is written
+    plt = _pyplot_for(args.plot_word, ternary.words) if args.plot_word else None
     rasters = [
         generate_raster(rates_from_ternary(row, cfg), cfg, stream_id=i)
         for i, row in enumerate(ternary.values)
@@ -189,31 +187,35 @@ def cmd_encode(args) -> int:
     if args.counts:
         counts = os.path.join(args.out_dir, "counts.csv")
         _atomic_writer(counts, lambda tmp: write_counts_csv(tmp, ternary.words, rasters))
-    if args.plot_word:
-        _plot_raster(args, ternary.words, rasters)
+    if plt is not None:
+        _plot_raster(plt, args.out_dir, args.plot_word, rasters[ternary.words.index(args.plot_word)])
     write_manifest(
-        args.out_dir, cfg, {"embeddings": args.embeddings, "ternary": args.ternary, "wordlist": args.wordlist}
+        args, cfg, {"embeddings": args.embeddings, "ternary": args.ternary, "wordlist": args.wordlist}
     )
     print(f"encoded {len(ternary)} words -> {out}")
     return EXIT_OK
 
 
-def _plot_raster(args, words, rasters) -> None:
+def _pyplot_for(word: str, words: tuple[str, ...]):
+    """matplotlib's pyplot set to SVG, once ``word`` is known to be in ``words``."""
+    if word not in words:
+        raise EmptyResultError(f"--plot-word {word!r} not in vocabulary")
     try:
         import matplotlib
         matplotlib.use("svg")
         import matplotlib.pyplot as plt
     except ImportError as exc:
         raise CorpusFormatError("matplotlib is required for --plot-word") from exc
-    if args.plot_word not in words:
-        raise EmptyResultError(f"--plot-word {args.plot_word!r} not in vocabulary")
-    raster = rasters[list(words).index(args.plot_word)]
+    return plt
+
+
+def _plot_raster(plt, out_dir: str, word: str, raster) -> None:
     fig, ax = plt.subplots(figsize=(8, 4))
     ax.eventplot([t * 1000.0 for t in raster.trains], linewidths=0.8, colors="black")
     ax.set_xlabel("time (ms)")
     ax.set_ylabel("dimension")
-    ax.set_title(f"spike raster: {args.plot_word}")
-    path = os.path.join(args.out_dir, f"raster_{args.plot_word}.svg")
+    ax.set_title(f"spike raster: {word}")
+    path = os.path.join(out_dir, f"raster_{word}.svg")
     _atomic_writer(path, lambda tmp: fig.savefig(tmp, format="svg"))
     plt.close(fig)
 
@@ -224,11 +226,11 @@ def cmd_decode(args) -> int:
     if not words:
         raise EmptyResultError(f"{args.rasters}: no raster records")
     decoded = np.stack([decode(r, cfg).values for r in rasters])
-    ternary = TernarySet(tuple(words), decoded, gammas=None)
+    ternary = TernarySet(tuple(words), decoded)
     os.makedirs(args.out_dir, exist_ok=True)
     out = os.path.join(args.out_dir, "decoded.txt")
     _atomic_writer(out, lambda tmp: save_ternary(ternary, tmp))
-    write_manifest(args.out_dir, cfg, {"rasters": args.rasters})
+    write_manifest(args, cfg, {"rasters": args.rasters})
     print(f"decoded {len(words)} words -> {out}")
     return EXIT_OK
 
@@ -283,7 +285,7 @@ def cmd_analyze(args) -> int:
             os.path.join(args.out_dir, "analysis.json"),
             lambda tmp: Path(tmp).write_text(text, encoding="utf-8"),
         )
-        write_manifest(args.out_dir, cfg, {})
+        write_manifest(args, cfg, {})
     return EXIT_OK
 
 
@@ -301,7 +303,7 @@ def cmd_eval(args) -> int:
             lambda tmp: Path(tmp).write_text(text + "\n", encoding="utf-8"),
         )
     write_manifest(
-        args.out_dir,
+        args,
         cfg,
         {
             "embeddings": args.embeddings,
@@ -354,8 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quantize", help="ternarize an embedding file")
     _add_corpus_flags(p)
-    p.add_argument("--normalize", action="store_true",
-                   help="L2-normalize vectors before quantization (changes gammas, not codes)")
     p.add_argument("--out-dir", default=_env("out_dir") or ".")
     p.set_defaults(func=cmd_quantize, needs_seed=False)
 
@@ -399,7 +399,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
+    # the parsed argv, not sys.argv, which is the host's when main runs in-process
+    args.command_line = shlex.join([parser.prog, *argv])
     try:
         return args.func(args)
     except ConfigError as exc:

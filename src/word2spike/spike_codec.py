@@ -89,12 +89,16 @@ PRESETS: dict[str, CodecConfig] = {
 }
 
 
-_CONFIG_KEYS = ("window_s", "rate_plus_hz", "rate_minus_hz", "threshold_hz", "mode", "seed")
+# config file key -> the type its value parses as
+_CONFIG_TYPES = {
+    "window_s": float, "rate_plus_hz": float, "rate_minus_hz": float,
+    "threshold_hz": float, "mode": str, "seed": int,
+}
 
 
 def save_codec_config(cfg: CodecConfig, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for key in _CONFIG_KEYS:
+        for key in _CONFIG_TYPES:
             fh.write(f"{key} = {getattr(cfg, key)}\n")
 
 
@@ -115,14 +119,15 @@ def _read_config(path: str) -> dict:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
             key, _, value = stripped.partition("=")
             key, value = key.strip(), value.strip()
-            if key not in _CONFIG_KEYS:
+            if key not in _CONFIG_TYPES:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            if key == "mode":
-                kwargs[key] = value
-            elif key == "seed":
-                kwargs[key] = int(value)
-            else:
-                kwargs[key] = float(value)
+            if key in kwargs:
+                raise ConfigError(f"{path}:{lineno}: repeated key {key!r}")
+            kind = _CONFIG_TYPES[key]
+            try:
+                kwargs[key] = kind(value)
+            except ValueError:
+                raise ConfigError(f"{path}:{lineno}: {key} must be {kind.__name__}, got {value!r}") from None
     return kwargs
 
 
@@ -241,15 +246,14 @@ def decode(raster: SpikeRaster, cfg: CodecConfig) -> TernaryVector:
     """Count-threshold decode of a raster back to ternary codes.
 
     Zero spikes -> 0; count >= ceil(threshold * window) -> +1 with no
-    upper cap; otherwise -1.  The decoded gamma is not recoverable and is
-    reported as NaN.
+    upper cap; otherwise -1.
     """
     if not math.isclose(raster.window_s, cfg.window_s, rel_tol=1e-9):
         raise ConfigError(
             f"raster window {raster.window_s} s does not match config window {cfg.window_s} s"
         )
     values = _decode_counts(raster.counts(), cfg.count_threshold)
-    return TernaryVector(values, math.nan)
+    return TernaryVector(values)
 
 
 def _decode_counts(counts: np.ndarray, count_threshold: int) -> np.ndarray:
@@ -276,7 +280,7 @@ def roundtrip(es, cfg: CodecConfig) -> RoundTripResult:
         rates = rates_from_ternary(ternary.values[i], cfg)
         raster = generate_raster(rates, cfg, stream_id=i)
         decoded[i] = _decode_counts(raster.counts(), k_star)
-    decoded_set = TernarySet(ternary.words, decoded, gammas=None)
+    decoded_set = TernarySet(ternary.words, decoded)
     matches = np.all(decoded == ternary.values, axis=1)
     return RoundTripResult(ternary, decoded_set, matches)
 

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -36,7 +37,6 @@ class TestQuantizeCmd:
         out = str(tmp_path / "q")
         assert main(["quantize", "--embeddings", emb_file, "--out-dir", out]) == 0
         assert os.path.exists(os.path.join(out, "ternary.txt"))
-        assert os.path.exists(os.path.join(out, "gammas.txt"))
         manifest = json.loads(read(os.path.join(out, "manifest.json")))
         assert manifest["tool_version"]
         assert set(manifest["inputs"]) == {"embeddings"}
@@ -152,6 +152,27 @@ class TestEncodeCmd:
         out = str(tmp_path / "c")
         assert main(["encode", "--embeddings", emb_file, "--config", cfg,
                      "--out-dir", out, "--counts"]) == 0
+
+    @pytest.mark.parametrize("lines, lineno, message", [
+        (["seed = 1.5"], 1, "seed must be int, got '1.5'"),
+        (["mode = lossless", "window_s = abc"], 2, "window_s must be float, got 'abc'"),
+        (["seed = 1", "seed = 2"], 2, "repeated key 'seed'"),
+    ], ids=["fractional-seed", "unparsable-window", "repeated-key"])
+    def test_config_file_value_error_exit_4(self, tmp_path, emb_file, capsys, lines, lineno, message):
+        cfg = write_lines(tmp_path / "codec.cfg", lines)
+        out = tmp_path / "o"
+        assert main(["encode", "--embeddings", emb_file, "--config", cfg,
+                     "--out-dir", str(out)]) == 4
+        assert f"config error: {cfg}:{lineno}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_plot_word_leaves_no_outputs(self, tmp_path, emb_file, capsys):
+        out = tmp_path / "e"
+        out.mkdir()
+        assert main(["encode", "--embeddings", emb_file, "--mode", "lossless", "--counts",
+                     "--plot-word", "nosuch", "--out-dir", str(out)]) == 3
+        assert "'nosuch' not in vocabulary" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
 
 class TestDecodeCmd:
@@ -279,13 +300,39 @@ CONFIG_FLAGS = {"--config", "--preset", "--window-ms", "--rate-plus", "--rate-mi
 CORPUS_FLAGS = {"--embeddings", "--wordlist", "--lowercase"}
 GENERATION_FLAGS = {"--mode", "--seed"}
 FLAGS = {
-    "quantize": CORPUS_FLAGS | {"--normalize", "--out-dir"},
+    "quantize": CORPUS_FLAGS | {"--out-dir"},
     "encode": CORPUS_FLAGS | CONFIG_FLAGS | GENERATION_FLAGS
               | {"--ternary", "--out-dir", "--threads", "--counts", "--plot-word"},
     "decode": CONFIG_FLAGS | {"--rasters", "--out-dir"},
     "analyze": CONFIG_FLAGS | {"--composition", "--out-dir"},
     "eval": CORPUS_FLAGS | CONFIG_FLAGS | GENERATION_FLAGS | {"--simlex", "--analogies", "--out-dir"},
 }
+
+
+def test_output_files_of_each_command(tmp_path, emb_file):
+    # every file a command leaves in its out-dir, temp files included
+    simlex = write_lines(tmp_path / "simlex.tsv", ["word1\tword2\tSimLex999", "cat\tdog\t7.0", "fox\towl\t5.0"])
+    q, e, d, a, r = (tmp_path / name for name in ("q", "e", "d", "a", "r"))
+    runs = {
+        q: (["quantize", "--embeddings", emb_file], {"ternary.txt"}),
+        e: (["encode", "--ternary", str(q / "ternary.txt"), "--seed", "5", "--counts"],
+            {"rasters.jsonl", "counts.csv"}),
+        d: (["decode", "--rasters", str(e / "rasters.jsonl")], {"decoded.txt"}),
+        a: (["analyze"], {"analysis.json"}),
+        r: (["eval", "--embeddings", emb_file, "--simlex", simlex, "--mode", "lossless"],
+            {"report.json", "report.txt"}),
+    }
+    for out, (argv, files) in runs.items():
+        assert main([*argv, "--out-dir", str(out)]) == 0
+        assert {p.name for p in out.iterdir()} == files | {"manifest.json"}, argv[0]
+
+
+def test_manifest_records_the_parsed_command(tmp_path, emb_file):
+    out = tmp_path / "q r"  # a space the command line must quote
+    argv = ["quantize", "--embeddings", emb_file, "--out-dir", str(out)]
+    assert main(argv) == 0
+    command = json.loads(read(out / "manifest.json"))["command"]
+    assert shlex.split(command) == ["word2spike", *argv]
 
 
 def test_flag_set_of_each_subcommand():

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from word2spike.corpus_io import CorpusFormatError
 from word2spike.quantizer import (
     TernarySet,
     TernaryVector,
-    absmean_gamma,
+    _absmean,
     load_ternary,
     quantize,
     quantize_all,
@@ -22,47 +23,64 @@ finite_vectors = st.lists(
 
 def test_absmean_gamma_hand_value():
     # (|2| + |-1| + |0|) / 3 = 1
-    assert absmean_gamma(np.array([2.0, -1.0, 0.0])) == 1.0
+    gammas, _ = _absmean(np.array([[2.0, -1.0, 0.0]]))
+    assert gammas.tolist() == [1.0]
 
 
 def test_absmean_gamma_zero_vector():
-    assert absmean_gamma(np.zeros(3)) == 0.0
+    gammas, _ = _absmean(np.zeros((1, 3)))
+    assert gammas.tolist() == [0.0]
 
 
 def test_absmean_gamma_single_negative():
-    assert absmean_gamma(np.array([-3.0])) == 3.0
+    gammas, _ = _absmean(np.array([[-3.0]]))
+    assert gammas.tolist() == [3.0]
 
 
 def test_absmean_gamma_empty_rejected():
+    # the scale of an empty vector is undefined, so quantize refuses it
     with pytest.raises(ValueError):
-        absmean_gamma(np.array([]))
+        quantize(np.array([]))
 
 
 def test_quantize_three_cases():
     # gamma = 1; 2 > gamma -> +1, |-1| <= gamma -> 0 (boundary), |0| <= gamma -> 0
     t = quantize(np.array([2.0, -1.0, 0.0]))
-    assert t.gamma == 1.0
     assert t.values.tolist() == [1, 0, 0]
 
 
 def test_quantize_zero_vector():
     t = quantize(np.zeros(4))
-    assert t.gamma == 0.0
     assert t.values.tolist() == [0, 0, 0, 0]
 
 
 def test_quantize_boundary_values_go_to_zero():
     # gamma = 3 exactly; strict inequalities leave both at 0
     t = quantize(np.array([3.0, -3.0]))
-    assert t.gamma == 3.0
     assert t.values.tolist() == [0, 0]
 
 
 def test_ternary_vector_rejects_bad_alphabet():
     with pytest.raises(ValueError):
-        TernaryVector(np.array([2, 0]), 1.0)
-    with pytest.raises(ValueError):
-        TernaryVector(np.array([1, 0]), 0.0)  # gamma 0 forces all-zero
+        TernaryVector(np.array([2, 0]))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: TernaryVector([0.5, 1.7, -1.2]),
+    lambda: TernarySet(("a",), [[0.9, -0.4]]),
+    lambda: TernarySet(("a",), [[257]]),
+], ids=["vector-fractions", "set-fractions", "set-int8-wraparound"])
+def test_alphabet_checked_before_int8_cast(make):
+    # an int8 cast would turn each of these into valid codes
+    with pytest.raises(ValueError, match=r"\{-1, 0, \+1\}"):
+        make()
+
+
+def test_load_ternary_rejects_fraction(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_text("a 1 0.5 -1\n", encoding="utf-8")
+    with pytest.raises(CorpusFormatError, match=r"values outside \{-1, 0, 1\}"):
+        load_ternary(str(path))
 
 
 @settings(max_examples=300, deadline=None)
@@ -70,7 +88,6 @@ def test_ternary_vector_rejects_bad_alphabet():
 def test_sign_symmetry(v):
     pos = quantize(v)
     neg = quantize(-v)
-    assert neg.gamma == pos.gamma
     assert np.array_equal(neg.values, -pos.values)
 
 
@@ -79,7 +96,7 @@ def test_sign_symmetry(v):
 def test_positive_scale_invariance(v, c):
     # exact in real arithmetic; skip inputs sitting within float rounding
     # distance of the gamma boundary, where the comparison can flip
-    gamma = absmean_gamma(v)
+    gamma = np.mean(np.abs(v))
     assume(np.all(np.abs(np.abs(v) - gamma) > 1e-9 * max(1.0, gamma)))
     base = quantize(v)
     scaled = quantize(c * v)
@@ -99,7 +116,7 @@ def test_alphabet_and_counts(v):
 @given(finite_vectors)
 def test_matches_definition(v):
     t = quantize(v)
-    gamma = absmean_gamma(v)
+    gamma = np.mean(np.abs(v))
     expected = np.where(v > gamma, 1, np.where(v < -gamma, -1, 0))
     assert np.array_equal(t.values, expected)
 
@@ -111,19 +128,13 @@ class TestQuantizeAll:
         for i, word in enumerate(tiny_set.words):
             single = quantize(tiny_set.vectors[i])
             assert np.array_equal(ts.values[i], single.values)
-            assert ts.gammas[i] == single.gamma
+            assert ts.gammas[i] == np.mean(np.abs(tiny_set.vectors[i]))
 
     def test_negation_flips_all(self, random_set):
         from word2spike.corpus_io import EmbeddingSet
 
         flipped = EmbeddingSet(random_set.words, -random_set.vectors)
         assert np.array_equal(quantize_all(flipped).values, -quantize_all(random_set).values)
-
-    def test_normalize_is_noop_for_codes(self, random_set):
-        assert np.array_equal(
-            quantize_all(random_set, normalize=True).values,
-            quantize_all(random_set).values,
-        )
 
     @pytest.mark.parametrize("shape", [(50, 300), (3, 1), (0, 4)])
     def test_save_bytes_match_per_value_formatting(self, tmp_path, shape):
@@ -141,9 +152,8 @@ class TestQuantizeAll:
 
     def test_serialization_roundtrip(self, tmp_path, random_set):
         ts = quantize_all(random_set)
-        path, gpath = str(tmp_path / "t.txt"), str(tmp_path / "g.txt")
-        save_ternary(ts, path, gpath)
-        back = load_ternary(path, gpath)
+        path = str(tmp_path / "t.txt")
+        save_ternary(ts, path)
+        back = load_ternary(path)
         assert back.words == ts.words
         assert np.array_equal(back.values, ts.values)
-        assert np.array_equal(back.gammas, ts.gammas)

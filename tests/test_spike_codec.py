@@ -218,9 +218,6 @@ class TestEstimateAndDecode:
     def test_decode_no_upper_cap(self):
         assert decode(raster_from_counts([25]), CodecConfig()).values.tolist() == [1]
 
-    def test_decode_gamma_unset(self):
-        assert math.isnan(decode(raster_from_counts([20]), CodecConfig()).gamma)
-
     def test_decode_window_mismatch(self):
         with pytest.raises(ConfigError):
             decode(raster_from_counts([20], window_s=0.4), CodecConfig())
