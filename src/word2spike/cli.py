@@ -8,8 +8,7 @@ two runs with equal manifests produce identical outputs.
 
 Exit codes: 0 success, 2 input error, 3 empty result, 4 config error.
 Output files are written to a temp name and atomically renamed, so a
-failed run leaves no partial outputs.  Flags can be defaulted through
-environment variables prefixed WORD2SPIKE_ (e.g. WORD2SPIKE_SEED=7).
+failed run leaves no partial outputs.
 """
 
 from __future__ import annotations
@@ -55,16 +54,10 @@ from .spike_codec import (
     write_raster_jsonl,
 )
 
-ENV_PREFIX = "WORD2SPIKE_"
-
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_EMPTY = 3
 EXIT_CONFIG = 4
-
-
-def _env(name: str) -> str | None:
-    return os.environ.get(ENV_PREFIX + name.upper())
 
 
 def _atomic_writer(path: str, write_fn) -> None:
@@ -106,39 +99,24 @@ def write_manifest(args, cfg: CodecConfig | None, inputs: dict[str, str]) -> Non
 
 
 def build_config(args) -> CodecConfig:
-    """Resolve the codec config: preset or file base, then flag overrides."""
+    """Resolve the codec config: the preset or file values with the flags
+    over them, checked once as a whole."""
     if args.preset and args.config:
         raise ConfigError("--preset and --config are mutually exclusive")
-    file_kwargs = _read_config(args.config) if args.config else {}
-    if args.preset:
-        # argparse checks choices on flags only, not on environment defaults
-        if args.preset not in PRESETS:
-            raise ConfigError(f"unknown preset {args.preset!r}; choose from {sorted(PRESETS)}")
-        base = PRESETS[args.preset]
-    else:
-        base = CodecConfig(**file_kwargs)
-
-    overrides = {}
-    seed_given = "seed" in file_kwargs
-    if args.window_ms is not None:
-        overrides["window_s"] = args.window_ms / 1000.0
-    if args.rate_plus is not None:
-        overrides["rate_plus_hz"] = args.rate_plus
-    if args.rate_minus is not None:
-        overrides["rate_minus_hz"] = args.rate_minus
-    if args.threshold is not None:
-        overrides["threshold_hz"] = args.threshold
-    if args.mode is not None:
-        overrides["mode"] = args.mode
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-        seed_given = True
-    cfg = dataclasses.replace(base, **overrides)
-
-    if cfg.mode == "stochastic" and args.needs_seed and not seed_given:
+    settings = _read_config(args.config) if args.config else {}
+    flags = {
+        "window_s": None if args.window_ms is None else args.window_ms / 1000.0,
+        "rate_plus_hz": args.rate_plus,
+        "rate_minus_hz": args.rate_minus,
+        "threshold_hz": args.threshold,
+        "mode": args.mode,
+        "seed": args.seed,
+    }
+    settings.update((key, value) for key, value in flags.items() if value is not None)
+    cfg = dataclasses.replace(PRESETS[args.preset] if args.preset else CodecConfig(), **settings)
+    if cfg.mode == "stochastic" and args.needs_seed and "seed" not in settings:
         raise ConfigError(
-            "stochastic mode requires an explicit --seed (or WORD2SPIKE_SEED); "
-            "refusing to run with silent nondeterminism"
+            "stochastic mode requires an explicit --seed; refusing to run with silent nondeterminism"
         )
     return cfg
 
@@ -170,9 +148,9 @@ def cmd_encode(args) -> int:
         raise CorpusFormatError("encode needs --embeddings or --ternary")
     cfg = build_config(args)
     if args.ternary:
-        ternary = load_ternary(args.ternary)
+        ternary, missing = load_ternary(args.ternary), 0
     else:
-        es, _ = _load_input_set(args)
+        es, missing = _load_input_set(args)
         ternary = quantize_all(es)
     # a plot that cannot be drawn fails the run before anything is written
     plt = _pyplot_for(args.plot_word, ternary.words) if args.plot_word else None
@@ -192,7 +170,7 @@ def cmd_encode(args) -> int:
     write_manifest(
         args, cfg, {"embeddings": args.embeddings, "ternary": args.ternary, "wordlist": args.wordlist}
     )
-    print(f"encoded {len(ternary)} words -> {out}")
+    print(f"encoded {len(ternary)} words, {missing} wordlist misses -> {out}")
     return EXIT_OK
 
 
@@ -291,7 +269,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = build_config(args)
-    es, _ = _load_input_set(args)
+    es, missing = _load_input_set(args)
     pairs = load_simlex(args.simlex, lowercase=args.lowercase) if args.simlex else None
     quads = load_analogies(args.analogies, lowercase=args.lowercase) if args.analogies else None
     report = full_report(es, cfg, pairs=pairs, quads=quads)
@@ -313,29 +291,27 @@ def cmd_eval(args) -> int:
         },
     )
     print(report.to_table())
+    print(f"evaluated {len(es)} words, {missing} wordlist misses")
     return EXIT_OK
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", default=_env("config"), help="key-value config file")
-    p.add_argument("--preset", choices=sorted(PRESETS), default=_env("preset"))
-    # argparse applies type= to string defaults, so a bad environment
-    # value is a usage error like a bad flag
-    p.add_argument("--window-ms", type=float, default=_env("window_ms"))
-    p.add_argument("--rate-plus", type=float, default=_env("rate_plus"))
-    p.add_argument("--rate-minus", type=float, default=_env("rate_minus"))
-    p.add_argument("--threshold", type=float, default=_env("threshold"))
+    p.add_argument("--config", help="key-value config file")
+    p.add_argument("--preset", choices=sorted(PRESETS))
+    p.add_argument("--window-ms", type=float)
+    p.add_argument("--rate-plus", type=float)
+    p.add_argument("--rate-minus", type=float)
+    p.add_argument("--threshold", type=float)
 
 
 def _add_generation_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mode", choices=("stochastic", "lossless"), default=_env("mode"))
-    p.add_argument("--seed", type=int, default=_env("seed"))
+    p.add_argument("--mode", choices=("stochastic", "lossless"))
+    p.add_argument("--seed", type=int)
 
 
 def _add_corpus_flags(p: argparse.ArgumentParser, embeddings_required: bool = True) -> None:
-    p.add_argument("--embeddings", required=embeddings_required and _env("embeddings") is None,
-                   default=_env("embeddings"))
-    p.add_argument("--wordlist", default=_env("wordlist"))
+    p.add_argument("--embeddings", required=embeddings_required)
+    p.add_argument("--wordlist")
     p.add_argument("--lowercase", action="store_true")
 
 
@@ -356,42 +332,41 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quantize", help="ternarize an embedding file")
     _add_corpus_flags(p)
-    p.add_argument("--out-dir", default=_env("out_dir") or ".")
+    p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_quantize, needs_seed=False)
 
     p = sub.add_parser("encode", help="generate spike rasters")
     _add_corpus_flags(p, embeddings_required=False)
-    p.add_argument("--ternary", default=_env("ternary"), help="pre-quantized input instead of --embeddings")
+    p.add_argument("--ternary", help="pre-quantized input instead of --embeddings")
     _add_config_flags(p)
     _add_generation_flags(p)
-    p.add_argument("--out-dir", default=_env("out_dir") or ".")
-    p.add_argument("--threads", type=int, default=_env("threads") or 1,
-                   help="ignored; encoding runs on one thread")
+    p.add_argument("--out-dir", default=".")
+    p.add_argument("--threads", type=int, default=1, help="ignored; encoding runs on one thread")
     p.add_argument("--counts", action="store_true", help="also write counts.csv")
-    p.add_argument("--plot-word", default=None, help="render one word's raster to SVG")
+    p.add_argument("--plot-word", help="render one word's raster to SVG")
     p.set_defaults(func=cmd_encode, needs_seed=True)
 
     # decoding and the error analysis read neither the mode nor the seed
     p = sub.add_parser("decode", help="decode rasters back to ternary codes")
-    p.add_argument("--rasters", required=_env("rasters") is None, default=_env("rasters"))
+    p.add_argument("--rasters", required=True)
     _add_config_flags(p)
-    p.add_argument("--out-dir", default=_env("out_dir") or ".")
+    p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_decode, needs_seed=False, mode=None, seed=None)
 
     p = sub.add_parser("analyze", help="exact decode-error analysis for a config")
     _add_config_flags(p)
-    p.add_argument("--composition", type=_parse_composition, default=None,
+    p.add_argument("--composition", type=_parse_composition,
                    help="n_plus,n_minus,n_zero for expected word error")
-    p.add_argument("--out-dir", default=_env("out_dir"))
+    p.add_argument("--out-dir")
     p.set_defaults(func=cmd_analyze, needs_seed=False, mode=None, seed=None)
 
     p = sub.add_parser("eval", help="full metric report over three representations")
     _add_corpus_flags(p)
-    p.add_argument("--simlex", default=_env("simlex"))
-    p.add_argument("--analogies", default=_env("analogies"))
+    p.add_argument("--simlex")
+    p.add_argument("--analogies")
     _add_config_flags(p)
     _add_generation_flags(p)
-    p.add_argument("--out-dir", default=_env("out_dir") or ".")
+    p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_eval, needs_seed=True)
 
     return parser

@@ -49,17 +49,13 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
 
 
 def _fractional_ranks(xs: np.ndarray) -> np.ndarray:
-    """Average-fractional ranks, 1-based; ties share their mean rank."""
-    order = np.argsort(xs, kind="stable")
-    ranks = np.empty(len(xs), dtype=np.float64)
-    i = 0
-    while i < len(xs):
-        j = i
-        while j + 1 < len(xs) and xs[order[j + 1]] == xs[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    """Average-fractional ranks, 1-based; ties share their mean rank.
+
+    A group of c equal values whose last 1-based rank is C gets the mean
+    rank C - (c - 1) / 2, an integer or a half, so exact in float64.
+    """
+    _, inverse, counts = np.unique(xs, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2)[inverse]
 
 
 def spearman(xs, ys) -> float:

@@ -49,6 +49,8 @@ class TernarySet:
         vals = _ternary_codes(self.values)
         if vals.ndim != 2 or vals.shape[0] != len(self.words):
             raise ValueError("values must be a (n_words, dim) matrix")
+        if len(set(self.words)) != len(self.words):
+            raise CorpusFormatError("duplicate words in ternary set")
         object.__setattr__(self, "values", vals)
 
     @property

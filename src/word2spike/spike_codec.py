@@ -34,6 +34,16 @@ class ConfigError(ValueError):
 _MODES = ("stochastic", "lossless")
 
 
+def _check_setting(key: str, value) -> None:
+    """Raise ConfigError if one setting breaks a rule that needs no other key."""
+    if key == "window_s" and not (value > 0 and math.isfinite(value)):
+        raise ConfigError(f"window_s must be positive, got {value}")
+    if key == "mode" and value not in _MODES:
+        raise ConfigError(f"mode must be one of {_MODES}, got {value!r}")
+    if key == "seed" and not 0 <= int(value) < 2**64:
+        raise ConfigError("seed must be a 64-bit unsigned integer")
+
+
 @dataclass(frozen=True)
 class CodecConfig:
     """Window length, rate assignments, decode threshold, mode and seed.
@@ -50,17 +60,13 @@ class CodecConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (self.window_s > 0 and math.isfinite(self.window_s)):
-            raise ConfigError(f"window_s must be positive, got {self.window_s}")
+        for key in ("window_s", "mode", "seed"):
+            _check_setting(key, getattr(self, key))
         if not 0 < self.rate_minus_hz < self.threshold_hz < self.rate_plus_hz:
             raise ConfigError(
                 "rates must satisfy 0 < rate_minus < threshold < rate_plus, got "
                 f"{self.rate_minus_hz}/{self.threshold_hz}/{self.rate_plus_hz} Hz"
             )
-        if self.mode not in _MODES:
-            raise ConfigError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ConfigError("seed must be a 64-bit unsigned integer")
 
     @property
     def lambda_plus(self) -> float:
@@ -128,6 +134,10 @@ def _read_config(path: str) -> dict:
                 kwargs[key] = kind(value)
             except ValueError:
                 raise ConfigError(f"{path}:{lineno}: {key} must be {kind.__name__}, got {value!r}") from None
+            try:
+                _check_setting(key, kwargs[key])
+            except ConfigError as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc}") from None
     return kwargs
 
 

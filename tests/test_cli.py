@@ -97,35 +97,27 @@ class TestEncodeCmd:
         assert main(["encode", "--embeddings", emb_file, "--seed", "1",
                      "--threshold", "150", "--out-dir", str(tmp_path)]) == 4
 
-    def test_env_seed_override(self, tmp_path, emb_file, monkeypatch):
+    def test_environment_seed_is_ignored(self, tmp_path, emb_file, monkeypatch):
         monkeypatch.setenv("WORD2SPIKE_SEED", "1")
-        out = str(tmp_path / "env")
-        assert main(["encode", "--embeddings", emb_file, "--out-dir", out]) == 0
-        direct = str(tmp_path / "direct")
-        monkeypatch.delenv("WORD2SPIKE_SEED")
-        assert main(["encode", "--embeddings", emb_file, "--seed", "1",
-                     "--out-dir", direct]) == 0
-        assert read(os.path.join(out, "rasters.jsonl")) == read(
-            os.path.join(direct, "rasters.jsonl")
-        )
+        assert main(["encode", "--embeddings", emb_file, "--out-dir", str(tmp_path / "o")]) == 4
 
-    @pytest.mark.parametrize("name, value, kind", [("SEED", "abc", "int"),
-                                                   ("THREADS", "two", "int"),
-                                                   ("WINDOW_MS", "wide", "float")])
-    def test_bad_env_default_exit_2(self, tmp_path, emb_file, monkeypatch, capsys,
-                                    name, value, kind):
-        monkeypatch.setenv("WORD2SPIKE_" + name, value)
+    @pytest.mark.parametrize("flag, value, error", [("--seed", "abc", "invalid int value"),
+                                                    ("--threads", "two", "invalid int value"),
+                                                    ("--window-ms", "wide", "invalid float value"),
+                                                    ("--mode", "quantum", "invalid choice")],
+                             ids=["seed", "threads", "window-ms", "mode"])
+    def test_bad_flag_value_exit_2(self, tmp_path, emb_file, capsys, flag, value, error):
         with pytest.raises(SystemExit) as exc:
-            main(["encode", "--embeddings", emb_file, "--out-dir", str(tmp_path / "o")])
+            main(["encode", "--embeddings", emb_file, flag, value, "--out-dir", str(tmp_path / "o")])
         assert exc.value.code == 2
-        assert f"invalid {kind} value: '{value}'" in capsys.readouterr().err
+        assert f"{error}: '{value}'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("name, value", [("MODE", "quantum")])
-    def test_bad_env_choice_exit_4(self, tmp_path, emb_file, monkeypatch, capsys, name, value):
-        monkeypatch.setenv("WORD2SPIKE_" + name, value)
-        assert main(["encode", "--embeddings", emb_file, "--out-dir", str(tmp_path / "o")]) == 4
-        assert value in capsys.readouterr().err
+    def test_reports_wordlist_misses(self, tmp_path, emb_file, capsys):
+        wl = write_lines(tmp_path / "wl.txt", ["cat", "zebra", "owl", "yak"])
+        assert main(["encode", "--embeddings", emb_file, "--wordlist", wl, "--mode", "lossless",
+                     "--out-dir", str(tmp_path / "e")]) == 0
+        assert "encoded 2 words, 2 wordlist misses" in capsys.readouterr().out
 
     @pytest.mark.parametrize("flag", ["--embeddings", "--wordlist", "--lowercase"])
     def test_ternary_rejects_corpus_flags(self, tmp_path, emb_file, capsys, flag):
@@ -220,11 +212,30 @@ class TestAnalyzeCmd:
     def test_equal_rates_exit_4(self):
         assert main(["analyze", "--rate-minus", "100"]) == 4
 
-    @pytest.mark.parametrize("name, value", [("PRESET", "paper-1s")])
-    def test_bad_env_choice_exit_4(self, monkeypatch, capsys, name, value):
-        monkeypatch.setenv("WORD2SPIKE_" + name, value)
-        assert main(["analyze"]) == 4
-        assert value in capsys.readouterr().err
+    def test_unknown_preset_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--preset", "paper-1s"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'paper-1s'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, flags", [("rate_minus_hz = 80", ["--threshold", "90"]),
+                                             ("threshold_hz = 90", ["--rate-minus", "80"])],
+                             ids=["file-rate-flag-threshold", "file-threshold-flag-rate"])
+    def test_config_file_checked_after_flags(self, tmp_path, capsys, line, flags):
+        # 80 Hz is above the file or default threshold until the flag applies
+        cfg = write_lines(tmp_path / "codec.cfg", [line])
+        assert main(["analyze", "--config", cfg, *flags]) == 0
+        assert "-1 -> 80.0 Hz   threshold: 90.0 Hz" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("line, message", [
+        ("mode = quantum", "mode must be one of ('stochastic', 'lossless'), got 'quantum'"),
+        ("seed = -1", "seed must be a 64-bit unsigned integer"),
+        ("window_s = -0.2", "window_s must be positive, got -0.2"),
+    ], ids=["mode", "seed", "window"])
+    def test_config_file_bad_setting_names_line(self, tmp_path, capsys, line, message):
+        cfg = write_lines(tmp_path / "codec.cfg", ["# codec", line])
+        assert main(["analyze", "--config", cfg]) == 4
+        assert f"config error: {cfg}:2: {message}" in capsys.readouterr().err
 
     def test_config_file_mode_and_seed_still_load(self, tmp_path):
         cfg = write_lines(tmp_path / "codec.cfg", ["mode = stochastic", "seed = 3"])
@@ -290,6 +301,12 @@ class TestEvalCmd:
         assert set(inputs) == {"embeddings", "simlex"}
         assert inputs["embeddings"] != inputs["simlex"]
 
+    def test_reports_wordlist_misses(self, tmp_path, emb_file, capsys):
+        wl = write_lines(tmp_path / "wl.txt", ["cat", "zebra", "owl", "yak"])
+        assert main(["eval", "--embeddings", emb_file, "--wordlist", wl, "--mode", "lossless",
+                     "--out-dir", str(tmp_path / "r")]) == 0
+        assert "evaluated 2 words, 2 wordlist misses" in capsys.readouterr().out
+
     def test_missing_dataset_exit_2(self, tmp_path, emb_file):
         assert main(["eval", "--embeddings", emb_file, "--simlex",
                      str(tmp_path / "no.tsv"), "--mode", "lossless",
@@ -333,6 +350,17 @@ def test_manifest_records_the_parsed_command(tmp_path, emb_file):
     assert main(argv) == 0
     command = json.loads(read(out / "manifest.json"))["command"]
     assert shlex.split(command) == ["word2spike", *argv]
+
+
+def test_manifest_command_replays(tmp_path, emb_file):
+    # no setting comes from elsewhere, so the recorded command is the whole run
+    out = tmp_path / "e"
+    assert main(["encode", "--embeddings", emb_file, "--seed", "9", "--counts", "--out-dir", str(out)]) == 0
+    names = ("rasters.jsonl", "counts.csv")
+    first = [(out / name).read_bytes() for name in names]
+    command = json.loads(read(out / "manifest.json"))["command"]
+    assert main(shlex.split(command)[1:]) == 0
+    assert [(out / name).read_bytes() for name in names] == first
 
 
 def test_flag_set_of_each_subcommand():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from word2spike.corpus_io import AnalogyQuad, EmbeddingSet, SimilarityPair, WordList
 from word2spike.evaluator import (
     EvaluationError,
+    _fractional_ranks,
     analogy_eval,
     cosine,
     full_report,
@@ -64,6 +65,15 @@ class TestSpearman:
             assert spearman(xs, ys) == pytest.approx(
                 scipy.stats.spearmanr(xs, ys).statistic, abs=1e-12
             )
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.integers(-5, 5).map(float),
+                              st.floats(-1e6, 1e6, allow_nan=False)), min_size=1, max_size=60))
+    def test_fractional_ranks_equal_rankdata(self, xs):
+        import scipy.stats
+
+        xs = np.array(xs)
+        assert _fractional_ranks(xs).tolist() == scipy.stats.rankdata(xs).tolist()
 
     def test_constant_input_rejected(self):
         with pytest.raises(EvaluationError):

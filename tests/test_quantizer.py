@@ -76,6 +76,12 @@ def test_alphabet_checked_before_int8_cast(make):
         make()
 
 
+def test_ternary_set_rejects_duplicate_words():
+    # save_ternary would write a file that load_ternary refuses
+    with pytest.raises(CorpusFormatError, match="duplicate words"):
+        TernarySet(("a", "a"), [[1, 0], [0, -1]])
+
+
 def test_load_ternary_rejects_fraction(tmp_path):
     path = tmp_path / "t.txt"
     path.write_text("a 1 0.5 -1\n", encoding="utf-8")
