@@ -3,8 +3,8 @@
 Each subcommand runs one stage of the pipeline (continuous vectors ->
 ternary codes -> spike rasters -> decoded codes -> metrics) as a
 reproducible batch job.  Every run writes a manifest (resolved config,
-input digests, seed, command, version, timestamp) next to its outputs;
-two runs with equal manifests produce identical outputs.
+input digests, seed, command, working directory, version, timestamp) next
+to its outputs; two runs with equal manifests produce identical outputs.
 
 Exit codes: 0 success, 2 input error, 3 empty result, 4 config error.
 Output files are written to a temp name and atomically renamed, so a
@@ -86,6 +86,8 @@ def write_manifest(args, cfg: CodecConfig | None, inputs: dict[str, str]) -> Non
     """Write manifest.json into args.out_dir, recording args.command_line."""
     manifest = {
         "command": args.command_line,
+        # relative paths in the command resolve against this directory
+        "cwd": os.getcwd(),
         "tool_version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "config": dataclasses.asdict(cfg) if cfg is not None else None,

@@ -122,57 +122,54 @@ def load_embeddings(path: str, lowercase: bool = False) -> EmbeddingSet:
 
     Each data line is ``token v1 v2 ... vn``, after an optional first line
     ``count dim``.  Dimensionality must be consistent; duplicate tokens and
-    non-finite values are rejected.
+    non-finite values are rejected.  Lines end at ``\n``, ``\r`` or
+    ``\r\n`` only; any other Unicode line break inside a line separates
+    tokens like a space.
     """
     words: list[str] = []
-    rows: list[list[float]] = []
+    rows: list[np.ndarray] = []
     seen: set[str] = set()
     dim: int | None = None
     declared: tuple[int, int] | None = None
 
+    # lines are read one at a time and each kept only as its float64 row
     with open(path, encoding="utf-8", newline=None) as fh:
-        lines = fh.read().splitlines()
-
-    start = 0
-    if lines:
-        first = lines[0].split()
-        if len(first) == 2 and all(tok.isdigit() for tok in first):
-            declared = (int(first[0]), int(first[1]))
-            start = 1
-
-    for lineno, line in enumerate(lines[start:], start=start + 1):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) < 2:
-            raise CorpusFormatError(f"{path}:{lineno}: expected token and values")
-        token = parts[0].lower() if lowercase else parts[0]
-        if token in seen:
-            raise CorpusFormatError(f"{path}:{lineno}: duplicate token {token!r}")
-        # a sum is finite unless a value is not (or the sum overflows), so
-        # only a line failing float() or the sum is parsed again, value by
-        # value, for the first error's message
-        try:
-            values = list(map(float, parts[1:]))
-            finite = math.isfinite(sum(values))
-        except ValueError:
-            finite = False
-        if not finite:
-            values = [_parse_float(v, path, lineno) for v in parts[1:]]
-        if dim is None:
-            dim = len(values)
-            if declared is not None and declared[1] != dim:
+        for lineno, line in enumerate(fh, start=1):
+            parts = line.split()
+            if lineno == 1 and len(parts) == 2 and all(tok.isdigit() for tok in parts):
+                declared = (int(parts[0]), int(parts[1]))
+                continue
+            if not parts:
+                continue
+            if len(parts) < 2:
+                raise CorpusFormatError(f"{path}:{lineno}: expected token and values")
+            token = parts[0].lower() if lowercase else parts[0]
+            if token in seen:
+                raise CorpusFormatError(f"{path}:{lineno}: duplicate token {token!r}")
+            # a sum is finite unless a value is not (or the sum overflows), so
+            # only a line failing float() or the sum is parsed again, value by
+            # value, for the first error's message
+            try:
+                values = list(map(float, parts[1:]))
+                finite = math.isfinite(sum(values))
+            except ValueError:
+                finite = False
+            if not finite:
+                values = [_parse_float(v, path, lineno) for v in parts[1:]]
+            if dim is None:
+                dim = len(values)
+                if declared is not None and declared[1] != dim:
+                    raise CorpusFormatError(
+                        f"{path}:{lineno}: line has {dim} values but header declares "
+                        f"dim {declared[1]}"
+                    )
+            elif len(values) != dim:
                 raise CorpusFormatError(
-                    f"{path}:{lineno}: line has {dim} values but header declares "
-                    f"dim {declared[1]}"
+                    f"{path}:{lineno}: line has {len(values)} values, expected {dim}"
                 )
-        elif len(values) != dim:
-            raise CorpusFormatError(
-                f"{path}:{lineno}: line has {len(values)} values, expected {dim}"
-            )
-        seen.add(token)
-        words.append(token)
-        rows.append(values)
+            seen.add(token)
+            words.append(token)
+            rows.append(np.array(values, dtype=np.float64))
 
     if not words:
         raise CorpusFormatError(f"{path}: no embedding rows found")
@@ -180,7 +177,7 @@ def load_embeddings(path: str, lowercase: bool = False) -> EmbeddingSet:
         raise CorpusFormatError(
             f"{path}: header declares {declared[0]} rows, found {len(words)}"
         )
-    return EmbeddingSet(tuple(words), np.asarray(rows, dtype=np.float64))
+    return EmbeddingSet(tuple(words), np.stack(rows))
 
 
 def save_embeddings(es: EmbeddingSet, path: str) -> None:

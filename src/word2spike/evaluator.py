@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -365,13 +365,24 @@ def full_report(
     for the original, quantized, and spike-decoded representations.
 
     One neighbour index is built per representation and shared by all its
-    metrics; the original's top-10 lists are computed once."""
+    metrics; the original's top-10 lists are computed once.  When the
+    decoded codes equal the quantized ones, as in lossless mode, the spike
+    metrics are the quantized metrics and no third index is built."""
     result = roundtrip(original, cfg)
-    indices = [_NeighborIndex(s.as_map()) for s in (original, result.ternary, result.decoded)]
+    original_index = _NeighborIndex(original.as_map())
     vocab = list(original.words)
-    original_m, quantized_m, spike_m = (
-        _metrics_for(index, indices[0], pairs, quads, vocab) for index in indices
+    original_m = _metrics_for(original_index, original_index, pairs, quads, vocab)
+    quantized_m = _metrics_for(
+        _NeighborIndex(result.ternary.as_map()), original_index, pairs, quads, vocab
     )
+    if np.array_equal(result.decoded.values, result.ternary.values):
+        # same words by construction, and every metric is a function of
+        # the words and their codes
+        spike_m = replace(quantized_m)
+    else:
+        spike_m = _metrics_for(
+            _NeighborIndex(result.decoded.as_map()), original_index, pairs, quads, vocab
+        )
     report = EvalReport(
         original=original_m, quantized=quantized_m, spike=spike_m, reference=REFERENCE_VALUES
     )

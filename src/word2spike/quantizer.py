@@ -19,7 +19,7 @@ from .corpus_io import CorpusFormatError, EmbeddingSet, load_embeddings
 def _ternary_codes(values) -> np.ndarray:
     """``values`` as int8, if every entry is exactly -1, 0 or +1."""
     values = np.asarray(values)
-    if not np.isin(values, (-1, 0, 1)).all():
+    if not ((values == -1) | (values == 0) | (values == 1)).all():
         raise ValueError("ternary values must lie in {-1, 0, +1}")
     return values.astype(np.int8, copy=False)
 

@@ -166,6 +166,14 @@ class TestEncodeCmd:
         assert "'nosuch' not in vocabulary" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    def test_plot_word_without_matplotlib_exit_2(self, tmp_path, emb_file, capsys, monkeypatch):
+        monkeypatch.setitem(sys.modules, "matplotlib", None)  # import raises ImportError
+        out = tmp_path / "e"
+        assert main(["encode", "--embeddings", emb_file, "--mode", "lossless",
+                     "--plot-word", "cat", "--out-dir", str(out)]) == 2
+        assert "matplotlib is required" in capsys.readouterr().err
+        assert not (out / "rasters.jsonl").exists()
+
 
 class TestDecodeCmd:
     def test_file_level_roundtrip(self, tmp_path, emb_file):
@@ -360,6 +368,28 @@ def test_manifest_command_replays(tmp_path, emb_file):
     first = [(out / name).read_bytes() for name in names]
     command = json.loads(read(out / "manifest.json"))["command"]
     assert main(shlex.split(command)[1:]) == 0
+    assert [(out / name).read_bytes() for name in names] == first
+
+
+def test_manifest_cwd_replays_relative_paths(tmp_path, monkeypatch, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir()
+    b.mkdir()
+    write_lines(a / "emb.txt", EMB)
+    monkeypatch.chdir(a)
+    assert main(["encode", "--embeddings", "emb.txt", "--seed", "3", "--counts", "--out-dir", "o"]) == 0
+    out = a / "o"
+    names = ("rasters.jsonl", "counts.csv")
+    first = [(out / name).read_bytes() for name in names]
+    manifest = json.loads(read(out / "manifest.json"))
+    for name in names:
+        (out / name).unlink()
+    argv = shlex.split(manifest["command"])[1:]
+    monkeypatch.chdir(b)
+    assert main(argv) == 2  # the relative paths do not resolve here
+    assert "emb.txt" in capsys.readouterr().err
+    monkeypatch.chdir(manifest["cwd"])
+    assert main(argv) == 0
     assert [(out / name).read_bytes() for name in names] == first
 
 

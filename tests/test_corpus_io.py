@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -80,6 +82,39 @@ class TestLoadEmbeddings:
     def test_overflowing_sum_is_not_an_error(self, tmp_path):
         path = write_lines(tmp_path / "e.txt", ["a 1e308 1e308 -1e308"])
         assert load_embeddings(path).vectors.tolist() == [[1e308, 1e308, -1e308]]
+
+    # str.splitlines broke lines at these too; a file line now ends at
+    # \n, \r or \r\n only, and str.split takes them as token whitespace
+    @pytest.mark.parametrize("brk", ["\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029"])
+    def test_unicode_line_break_separates_tokens_of_one_line(self, tmp_path, brk):
+        path = tmp_path / "e.txt"
+        path.write_text(f"a 1{brk}2\r\nb 3 4\nc 5 x\n", encoding="utf-8")
+        with pytest.raises(CorpusFormatError) as exc:
+            load_embeddings(str(path))
+        assert str(exc.value) == f"{path}:3: unparsable number 'x'"
+        path.write_text(f"a 1{brk}2\r\nb 3 4\n", encoding="utf-8")
+        es = load_embeddings(str(path))
+        assert es.words == ("a", "b")
+        assert es.vectors.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_peak_memory_stays_near_the_matrix(self, tmp_path):
+        rng = np.random.default_rng(4)
+        values = rng.standard_normal((1000, 300))
+        path = tmp_path / "e.txt"
+        path.write_text(
+            "".join(f"w{i} " + " ".join(f"{v:.6f}" for v in row) + "\n" for i, row in enumerate(values)),
+            encoding="utf-8",
+        )
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            es = load_embeddings(str(path))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # the text and one Python float per value are never all held at once
+        assert peak < 3 * es.vectors.nbytes
 
     def test_values_equal_float_of_each_token(self, tmp_path):
         rng = np.random.default_rng(9)

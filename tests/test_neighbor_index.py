@@ -2,6 +2,7 @@
 cosine ranking on ternary maps, and the earlier one-query-at-a-time search
 on float maps."""
 
+from dataclasses import fields
 from fractions import Fraction
 from unittest import mock
 
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from word2spike import evaluator
 from word2spike.corpus_io import AnalogyQuad, SimilarityPair
 from word2spike.evaluator import _NeighborIndex, analogy_eval, full_report, overlap_at_k
-from word2spike.spike_codec import CodecConfig
+from word2spike.spike_codec import CodecConfig, roundtrip
 
 
 def exact_top_k(rows, query, k, exclude):
@@ -167,6 +168,26 @@ class TestFloatMaps:
             assert index.top_k(queries, 10, exclude) == whole
 
 
+@pytest.fixture
+def index_calls(monkeypatch):
+    """Counts of _NeighborIndex constructions and top_k searches."""
+    calls = {"__init__": 0, "top_k": 0}
+    for name in calls:
+        method = getattr(_NeighborIndex, name)
+
+        def counted(*args, _method=method, _name=name, **kwargs):
+            calls[_name] += 1
+            return _method(*args, **kwargs)
+
+        monkeypatch.setattr(_NeighborIndex, name, counted)
+    return calls
+
+
+def eight_pairs_one_quad(words):
+    pairs = [SimilarityPair(words[i], words[i + 1], float(i)) for i in range(8)]
+    return pairs, [AnalogyQuad(*words[:4])]
+
+
 class TestSharedIndices:
     def test_metrics_accept_a_prebuilt_index(self, random_set):
         vectors = random_set.as_map()
@@ -176,20 +197,34 @@ class TestSharedIndices:
         assert analogy_eval(index, quads) == analogy_eval(vectors, quads)
         assert overlap_at_k(index, index, 10) == overlap_at_k(vectors, vectors, 10) == 1.0
 
-    def test_full_report_builds_one_index_per_representation(self, random_set, monkeypatch):
-        calls = {"__init__": 0, "top_k": 0}
-        for name in calls:
-            method = getattr(_NeighborIndex, name)
+    def test_full_report_builds_one_index_per_representation(self, random_set, index_calls):
+        full_report(random_set, CodecConfig(mode="lossless"), *eight_pairs_one_quad(random_set.words))
+        # one analogy search and one top-10 search per index, the original's
+        # lists computed once; the lossless spike codes equal the quantized
+        # codes, so the spike column copies their metrics
+        assert index_calls == {"__init__": 2, "top_k": 4}
 
-            def counted(*args, _method=method, _name=name, **kwargs):
-                calls[_name] += 1
-                return _method(*args, **kwargs)
+    def test_full_report_indexes_spike_codes_that_differ(self, random_set, index_calls):
+        cfg = CodecConfig(mode="stochastic", seed=1)
+        result = roundtrip(random_set, cfg)
+        assert not np.array_equal(result.decoded.values, result.ternary.values)
+        full_report(random_set, cfg, *eight_pairs_one_quad(random_set.words))
+        assert index_calls == {"__init__": 3, "top_k": 6}
 
-            monkeypatch.setattr(_NeighborIndex, name, counted)
+    def test_lossless_spike_metrics_equal_a_decoded_index(self, random_set):
+        cfg = CodecConfig(mode="lossless")
         words = random_set.words
-        pairs = [SimilarityPair(words[i], words[i + 1], float(i)) for i in range(8)]
-        quads = [AnalogyQuad(*words[:4])]
-        full_report(random_set, CodecConfig(mode="lossless"), pairs, quads)
-        # one analogy search per representation, and one top-10 search of
-        # each vocabulary: the original's lists are computed once
-        assert calls == {"__init__": 3, "top_k": 6}
+        pairs = [SimilarityPair(words[i], words[i + 3], float(i % 7)) for i in range(60)]
+        quads = [AnalogyQuad(*words[i : i + 4]) for i in range(0, 80, 4)]
+        report = full_report(random_set, cfg, pairs, quads)
+
+        result = roundtrip(random_set, cfg)
+        original_index = _NeighborIndex(random_set.as_map())
+        spike = evaluator._metrics_for(
+            _NeighborIndex(result.decoded.as_map()), original_index, pairs, quads, list(words)
+        )
+        spike.reconstruction_accuracy = 1.0
+        for f in fields(evaluator.RepresentationMetrics):
+            assert getattr(report.spike, f.name) == getattr(spike, f.name), f.name
+        # the spike column is a copy: filling it leaves the quantized column
+        assert report.quantized.reconstruction_accuracy is None

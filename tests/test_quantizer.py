@@ -76,6 +76,26 @@ def test_alphabet_checked_before_int8_cast(make):
         make()
 
 
+@pytest.mark.parametrize("values, accepted", [
+    ([np.nan, 0.0], False),
+    ([-0.0, 1.0], True),
+    ([0.5, -1.0], False),
+    ([2, 0], False),
+    ([-1.0, np.inf], False),
+    (np.array([True, False]), True),
+    (np.array([-1, 0, 1], dtype=np.int8), True),
+    (np.array([-2, 1], dtype=np.int8), False),
+], ids=["nan", "minus-zero", "half", "two", "inf", "bool", "int8", "int8-minus-two"])
+def test_alphabet_check_agrees_with_isin(values, accepted):
+    # the reference: membership in {-1, 0, 1} by np.isin
+    assert np.isin(values, (-1, 0, 1)).all() == accepted
+    if accepted:
+        assert TernaryVector(values).values.tolist() == np.asarray(values).astype(np.int8).tolist()
+    else:
+        with pytest.raises(ValueError, match=r"\{-1, 0, \+1\}"):
+            TernaryVector(values)
+
+
 def test_ternary_set_rejects_duplicate_words():
     # save_ternary would write a file that load_ternary refuses
     with pytest.raises(CorpusFormatError, match="duplicate words"):
