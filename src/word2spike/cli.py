@@ -8,7 +8,7 @@ to its outputs; two runs with equal manifests produce identical outputs.
 
 Exit codes: 0 success, 2 input error, 3 empty result, 4 config error.
 Output files are written to a temp name and atomically renamed, so a
-failed run leaves no partial outputs.
+failed run leaves no partial outputs; they get the umask's permissions.
 """
 
 from __future__ import annotations
@@ -61,12 +61,19 @@ EXIT_CONFIG = 4
 
 
 def _atomic_writer(path: str, write_fn) -> None:
-    """Run write_fn against a temp path, then atomically rename into place."""
+    """Run write_fn against a temp path, then atomically rename into place.
+
+    The file gets the mode a plain open() would give it, 0o666 less the
+    umask; mkstemp creates it at 0o600 whatever the umask.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".w2s-", suffix=".tmp")
     os.close(fd)
     try:
         write_fn(tmp)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

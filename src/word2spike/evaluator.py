@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import json
 import logging
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -76,23 +78,25 @@ def spearman(xs, ys) -> float:
 
 
 def simlex_eval(
-    vectors: dict[str, np.ndarray], pairs: list[SimilarityPair]
+    vectors: Mapping[str, np.ndarray] | _NeighborIndex, pairs: list[SimilarityPair]
 ) -> tuple[float, int, int]:
     """Spearman rho between model cosines and human scores.
 
-    Pairs with either word out of vocabulary are skipped and counted.
-    Pairs involving a zero-norm vector get cosine 0 and one aggregated
-    warning.  Returns (rho, used, skipped).
+    ``vectors`` may be a prebuilt index.  Pairs with either word out of
+    vocabulary are skipped and counted.  Pairs involving a zero-norm
+    vector get cosine 0 and one aggregated warning.  Returns (rho, used,
+    skipped).
     """
     if not pairs:
         raise EvaluationError("no similarity pairs supplied")
+    index = _as_index(vectors)
     sims, scores = [], []
     skipped = zero_norm = 0
     for pair in pairs:
-        if pair.word_a not in vectors or pair.word_b not in vectors:
+        if pair.word_a not in index or pair.word_b not in index:
             skipped += 1
             continue
-        c = _cosine_or_none(vectors[pair.word_a], vectors[pair.word_b])
+        c = _cosine_or_none(index.vector(pair.word_a), index.vector(pair.word_b))
         if c is None:
             zero_norm += 1
             c = 0.0
@@ -118,27 +122,39 @@ class _NeighborIndex:
     Queries are scored in row blocks, one matrix product per block.
     Zero-norm words are excluded from rankings (their cosine is defined as
     0, which would rank arbitrarily), and a zero query has no neighbours.
-    Rankings are by (-score, token): words are sorted, so equal scores
-    break toward the smaller token.  The score is the key
-    ``sign(d) * d**2 / |row|**2`` of the dot product ``d``, which ranks as
-    the cosine does and is exact for ternary rows and integer queries.
+    Rankings are by (-score, token): rows stay in the caller's order, and
+    each row's rank among the sorted tokens breaks equal scores toward the
+    smaller token.  The score is the key ``sign(d) * d**2 / |row|**2`` of
+    the dot product ``d``, which ranks as the cosine does and is exact for
+    ternary rows and integer queries.
     """
 
-    def __init__(self, vectors: dict[str, np.ndarray]):
-        self.words = sorted(vectors)
+    def __init__(self, words, matrix: np.ndarray):
+        """Index the (n, d) ``matrix`` whose row i is ``words[i]``; a float64
+        matrix is used without a copy."""
+        self.words = tuple(words)
         self.row = {w: i for i, w in enumerate(self.words)}
-        self.matrix = np.stack([np.asarray(vectors[w], dtype=np.float64) for w in self.words])
+        self.matrix = np.asarray(matrix, dtype=np.float64)
+        # each row's place in token order (the inverse of the sorting
+        # permutation), the last ranking key
+        self.token_rank = np.argsort(sorted(range(len(self.words)), key=self.words.__getitem__))
         self.sq_norms = np.einsum("ij,ij->i", self.matrix, self.matrix)
-        self.zero_norm = self.sq_norms == 0.0
-        if self.zero_norm.any():
-            log.warning(
-                "%d zero-norm vectors excluded from neighbor rankings",
-                int(self.zero_norm.sum()),
-            )
         self._own: dict[int, dict[str, list[str]]] = {}
+
+    @cached_property
+    def zero_norm(self) -> np.ndarray:
+        """The zero-norm rows; counted in one warning at the first search,
+        so an index that only looks up vectors does not warn."""
+        zero = self.sq_norms == 0.0
+        if zero.any():
+            log.warning("%d zero-norm vectors excluded from neighbor rankings", int(zero.sum()))
+        return zero
 
     def __contains__(self, word: str) -> bool:
         return word in self.row
+
+    def vector(self, word: str) -> np.ndarray:
+        return self.matrix[self.row[word]]
 
     def top_k(self, queries: np.ndarray, k: int, exclude: np.ndarray) -> list[list[str]]:
         """Top-k words for each row of an (m, d) query matrix.
@@ -179,7 +195,7 @@ class _NeighborIndex:
         finite = values > -np.inf
         flat, values = flat[finite], values[finite]
         rows, cols = np.divmod(flat, scores.shape[1])
-        order = np.lexsort((cols, -values, rows))
+        order = np.lexsort((self.token_rank[cols], -values, rows))
         rows, cols = rows[order], cols[order]
         starts = np.searchsorted(rows, np.arange(len(scores) + 1))
         return [
@@ -201,26 +217,30 @@ class _NeighborIndex:
         return [memo[w] for w in words]
 
 
-def _as_index(vectors) -> _NeighborIndex:
-    return vectors if isinstance(vectors, _NeighborIndex) else _NeighborIndex(vectors)
+def _as_index(vectors: Mapping[str, np.ndarray] | _NeighborIndex) -> _NeighborIndex:
+    """A prebuilt index as it is, or an index over a word -> vector map."""
+    if isinstance(vectors, _NeighborIndex):
+        return vectors
+    return _NeighborIndex(vectors, np.stack(list(vectors.values())))
 
 
-def neighbors(vectors: dict[str, np.ndarray], query: str, k: int) -> list[str]:
+def neighbors(vectors: Mapping[str, np.ndarray] | _NeighborIndex, query: str, k: int) -> list[str]:
     """Top-k cosine nearest neighbors of a vocabulary word, query excluded.
 
     Ties break lexicographically; returns fewer than k words only when the
     vocabulary runs out.
     """
-    if query not in vectors:
+    index = _as_index(vectors)
+    if query not in index:
         raise EvaluationError(f"query {query!r} not in vocabulary")
     if k < 1:
         raise ValueError("k must be >= 1")
-    return _NeighborIndex(vectors).own_top_k([query], k)[0]
+    return index.own_top_k([query], k)[0]
 
 
 def overlap_at_k(
-    map_a: dict[str, np.ndarray] | _NeighborIndex,
-    map_b: dict[str, np.ndarray] | _NeighborIndex,
+    map_a: Mapping[str, np.ndarray] | _NeighborIndex,
+    map_b: Mapping[str, np.ndarray] | _NeighborIndex,
     k: int,
     vocab: WordList | list[str] | None = None,
 ) -> float:
@@ -228,6 +248,8 @@ def overlap_at_k(
 
     Either side may be a prebuilt index, whose top-k lists are reused.
     """
+    if k < 1:
+        raise ValueError("k must be >= 1")
     index_a, index_b = _as_index(map_a), _as_index(map_b)
     words = list(vocab) if vocab is not None else sorted(set(index_a.row) & set(index_b.row))
     words = [w for w in words if w in index_a and w in index_b]
@@ -238,7 +260,7 @@ def overlap_at_k(
 
 
 def analogy_eval(
-    vectors: dict[str, np.ndarray] | _NeighborIndex, quads: list[AnalogyQuad]
+    vectors: Mapping[str, np.ndarray] | _NeighborIndex, quads: list[AnalogyQuad]
 ) -> tuple[float, int, int]:
     """Top-1 accuracy of 3CosAdd analogy solving.
 
@@ -347,8 +369,7 @@ def _metrics_for(
 ) -> RepresentationMetrics:
     m = RepresentationMetrics()
     if pairs:
-        vectors = dict(zip(index.words, index.matrix))
-        m.simlex_rho, m.simlex_used, m.simlex_skipped = simlex_eval(vectors, pairs)
+        m.simlex_rho, m.simlex_used, m.simlex_skipped = simlex_eval(index, pairs)
     if quads:
         m.analogy_accuracy, m.analogy_used, m.analogy_skipped = analogy_eval(index, quads)
     m.overlap_at_10 = overlap_at_k(original_index, index, 10, vocab)
@@ -369,11 +390,11 @@ def full_report(
     decoded codes equal the quantized ones, as in lossless mode, the spike
     metrics are the quantized metrics and no third index is built."""
     result = roundtrip(original, cfg)
-    original_index = _NeighborIndex(original.as_map())
+    original_index = _NeighborIndex(original.words, original.vectors)
     vocab = list(original.words)
     original_m = _metrics_for(original_index, original_index, pairs, quads, vocab)
     quantized_m = _metrics_for(
-        _NeighborIndex(result.ternary.as_map()), original_index, pairs, quads, vocab
+        _NeighborIndex(result.ternary.words, result.ternary.values), original_index, pairs, quads, vocab
     )
     if np.array_equal(result.decoded.values, result.ternary.values):
         # same words by construction, and every metric is a function of
@@ -381,7 +402,7 @@ def full_report(
         spike_m = replace(quantized_m)
     else:
         spike_m = _metrics_for(
-            _NeighborIndex(result.decoded.as_map()), original_index, pairs, quads, vocab
+            _NeighborIndex(result.decoded.words, result.decoded.values), original_index, pairs, quads, vocab
         )
     report = EvalReport(
         original=original_m, quantized=quantized_m, spike=spike_m, reference=REFERENCE_VALUES

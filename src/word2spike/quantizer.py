@@ -60,9 +60,6 @@ class TernarySet:
     def __len__(self) -> int:
         return len(self.words)
 
-    def as_map(self) -> dict[str, np.ndarray]:
-        return {w: self.values[i].astype(np.float64) for i, w in enumerate(self.words)}
-
 
 def _absmean(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-row gammas mean(|w|) and ternary codes of an (n, d) matrix."""

@@ -6,7 +6,8 @@ Ternary codes map to firing rates (+1 -> rate_plus, 0 -> 0 Hz,
 homogeneous Poisson process over the observation window: a Poisson(rate *
 window) spike count, then that many sorted iid uniform spike times within
 the window.  Lossless mode emits exactly round(rate * window) evenly spaced
-spikes, which guarantees perfect decode.  Decoding is purely count-based:
+spikes, and accepts only configs where those counts decode back to their
+codes, so it guarantees perfect decode.  Decoding is purely count-based:
 zero spikes -> 0, count >= ceil(threshold * window) -> +1, anything else
 -> -1.
 
@@ -49,7 +50,9 @@ class CodecConfig:
     """Window length, rate assignments, decode threshold, mode and seed.
 
     The zero level always fires at 0 Hz; the decode threshold must lie
-    strictly between the two nonzero rates.
+    strictly between the two nonzero rates.  In lossless mode the spike
+    counts of the two levels must also decode exactly:
+    1 <= round(lambda_minus) < count_threshold <= round(lambda_plus).
     """
 
     window_s: float = 0.2
@@ -67,6 +70,16 @@ class CodecConfig:
                 "rates must satisfy 0 < rate_minus < threshold < rate_plus, got "
                 f"{self.rate_minus_hz}/{self.threshold_hz}/{self.rate_plus_hz} Hz"
             )
+        if self.mode == "lossless":
+            n_minus, n_plus = _lossless_counts(
+                np.array([self.rate_minus_hz, self.rate_plus_hz]), self.window_s
+            ).tolist()
+            if not 1 <= n_minus < self.count_threshold <= n_plus:
+                raise ConfigError(
+                    f"lossless mode emits {n_minus} spikes for -1 and {n_plus} for +1, which "
+                    f"decode exactly only if 1 <= {n_minus} < count threshold "
+                    f"{self.count_threshold} <= {n_plus}"
+                )
 
     @property
     def lambda_plus(self) -> float:
@@ -217,6 +230,11 @@ def rates_from_ternary(codes: np.ndarray, cfg: CodecConfig) -> RateVector:
     return RateVector(rates)
 
 
+def _lossless_counts(rates_hz: np.ndarray, window_s: float) -> np.ndarray:
+    """The spike counts lossless mode emits: round(rate * window), half to even."""
+    return np.rint(rates_hz * window_s).astype(np.int64)
+
+
 def generate_raster(rates: RateVector, cfg: CodecConfig, stream_id: int) -> SpikeRaster:
     """Generate one spike raster for a rate vector.
 
@@ -229,7 +247,7 @@ def generate_raster(rates: RateVector, cfg: CodecConfig, stream_id: int) -> Spik
     """
     window = cfg.window_s
     if cfg.mode == "lossless":
-        counts = np.rint(rates.rates_hz * window).astype(np.int64)
+        counts = _lossless_counts(rates.rates_hz, window)
         dims = np.repeat(np.arange(len(counts)), counts)
         rank = np.arange(len(dims)) - (np.cumsum(counts) - counts)[dims]
         return SpikeRaster(window, (rank + 0.5) * (window / counts[dims]), counts)
@@ -525,7 +543,8 @@ def _format_records(block) -> bytes:
 
 def read_raster_jsonl(path: str) -> tuple[list[str], list[SpikeRaster]]:
     """Read a raster export back; every record must have a distinct word
-    that is one whitespace-free token, and the same number of dimensions."""
+    that is one whitespace-free token, and the same nonzero number of
+    dimensions."""
     words, rasters = [], []
     line_of: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
@@ -546,6 +565,8 @@ def read_raster_jsonl(path: str) -> tuple[list[str], list[SpikeRaster]]:
                 trains = record["trains"]
                 if not isinstance(trains, list) or not all(isinstance(t, list) for t in trains):
                     raise ValueError("trains must be a list of lists of spike times")
+                if not trains:
+                    raise ValueError("trains must hold at least one dimension")
                 # exact types: a JSON true is a bool, and fromiter would read
                 # both true and "1.5" as numbers
                 if not set(map(type, itertools.chain.from_iterable(trains))) <= {int, float}:

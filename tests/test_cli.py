@@ -12,7 +12,7 @@ import word2spike
 from word2spike.cli import build_parser, main
 
 from conftest import write_lines
-from test_spike_codec import BAD_RECORDS, GOOD_RECORD
+from test_spike_codec import BAD_RECORDS, GOOD_RECORD, NO_DIMENSIONS
 
 EMB = [
     "cat 1.0 0.2 -2.0 0.1",
@@ -53,6 +53,18 @@ class TestQuantizeCmd:
         wl = write_lines(tmp_path / "wl.txt", ["zebra"])
         assert main(["quantize", "--embeddings", emb_file, "--wordlist", wl,
                      "--out-dir", str(tmp_path)]) == 3
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+    def test_outputs_get_the_umask_permissions(self, tmp_path, emb_file, umask, mode):
+        out = tmp_path / "q"
+        old = os.umask(umask)
+        try:
+            assert main(["quantize", "--embeddings", emb_file, "--out-dir", str(out)]) == 0
+        finally:
+            os.umask(old)
+        assert {p.name: p.stat().st_mode & 0o777 for p in out.iterdir()} == {
+            "ternary.txt": mode, "manifest.json": mode,
+        }
 
     def test_no_partial_output_on_failure(self, tmp_path):
         bad = write_lines(tmp_path / "bad.txt", ["a 1 2", "b 1"])
@@ -200,6 +212,14 @@ class TestDecodeCmd:
         assert "r.jsonl:2" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_raster_without_dimensions_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "r.jsonl"
+        path.write_text(NO_DIMENSIONS + "\n" + GOOD_RECORD + "\n", encoding="utf-8")
+        out = tmp_path / "d"
+        assert main(["decode", "--rasters", str(path), "--out-dir", str(out)]) == 2
+        assert "r.jsonl:1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestAnalyzeCmd:
     def test_default_report_values(self, capsys, tmp_path):
@@ -314,6 +334,12 @@ class TestEvalCmd:
         assert main(["eval", "--embeddings", emb_file, "--wordlist", wl, "--mode", "lossless",
                      "--out-dir", str(tmp_path / "r")]) == 0
         assert "evaluated 2 words, 2 wordlist misses" in capsys.readouterr().out
+
+    def test_lossless_counts_that_do_not_decode_exit_4(self, tmp_path, emb_file, capsys):
+        # 2 Hz x 0.2 s rounds to no spikes, so a -1 would decode as 0
+        assert main(["eval", "--embeddings", emb_file, "--mode", "lossless", "--rate-minus", "2",
+                     "--threshold", "50", "--out-dir", str(tmp_path / "r")]) == 4
+        assert "config error: lossless mode emits 0 spikes for -1" in capsys.readouterr().err
 
     def test_missing_dataset_exit_2(self, tmp_path, emb_file):
         assert main(["eval", "--embeddings", emb_file, "--simlex",

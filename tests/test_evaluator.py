@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from word2spike.corpus_io import AnalogyQuad, EmbeddingSet, SimilarityPair, WordList
+from word2spike.corpus_io import AnalogyQuad, SimilarityPair
 from word2spike.evaluator import (
     EvaluationError,
     _fractional_ranks,
@@ -194,6 +194,12 @@ class TestOverlapAtK:
             "c": np.array([1.0, 0.01]), "d": np.array([0.02, 1.0]),
         }
         assert overlap_at_k(map_a, map_b, 1) == 0.0
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, random_set, k):
+        m = random_set.as_map()
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            overlap_at_k(m, m, k)
 
     def test_empty_shared_vocab(self):
         with pytest.raises(EvaluationError):

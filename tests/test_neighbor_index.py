@@ -1,8 +1,8 @@
 """The batched exact neighbour index against two oracles: exact rational
-cosine ranking on ternary maps, and the earlier one-query-at-a-time search
-on float maps."""
+cosine ranking on ternary matrices, and the earlier one-query-at-a-time
+search on float maps."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 from unittest import mock
 
@@ -12,14 +12,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from word2spike import evaluator
-from word2spike.corpus_io import AnalogyQuad, SimilarityPair
-from word2spike.evaluator import _NeighborIndex, analogy_eval, full_report, overlap_at_k
+from word2spike.corpus_io import AnalogyQuad, EmbeddingSet, SimilarityPair
+from word2spike.evaluator import (
+    _as_index,
+    _NeighborIndex,
+    analogy_eval,
+    full_report,
+    overlap_at_k,
+    simlex_eval,
+)
 from word2spike.spike_codec import CodecConfig, roundtrip
 
 
-def exact_top_k(rows, query, k, exclude):
-    """Row indices of the k nearest rows by cosine, ties toward the smaller
-    index, in exact arithmetic.  With d = row . query and n = |row|**2,
+def exact_top_k(rows, tokens, query, k, exclude):
+    """Tokens of the k nearest rows by cosine, ties toward the smaller
+    token, in exact arithmetic.  With d = row . query and n = |row|**2,
     cosine ordering is the ordering of sign(d) * d**2 / n, a rational."""
     if not any(query):
         return []
@@ -29,8 +36,8 @@ def exact_top_k(rows, query, k, exclude):
         if n == 0 or j in exclude:
             continue
         d = sum(int(a) * int(b) for a, b in zip(row, query))
-        ranked.append((-Fraction(d * abs(d), n), j))
-    return [j for _, j in sorted(ranked)[:k]]
+        ranked.append((-Fraction(d * abs(d), n), tokens[j]))
+    return [token for _, token in sorted(ranked)[:k]]
 
 
 class PerQueryIndex:
@@ -60,9 +67,13 @@ class PerQueryIndex:
         return [self.words[i] for i in order[:k]]
 
 
+def row_tokens(n):
+    # zero-padded tokens sort in row order, so row j is the j-th smallest
+    return [f"w{j:03d}" for j in range(n)]
+
+
 def as_map(matrix):
-    # zero-padded tokens sort in row order, so row j is word j
-    return {f"w{j:03d}": row for j, row in enumerate(matrix)}
+    return dict(zip(row_tokens(len(matrix)), matrix))
 
 
 @st.composite
@@ -91,28 +102,29 @@ def ternary_searches(draw):
     ))
     k = draw(st.integers(1, n + 3))
     block_cells = draw(st.sampled_from([1, 3, 2 * n + 1, evaluator._BLOCK_CELLS]))
-    return rows, queries, exclude, k, block_cells
+    # tokens in row order, reversed, or shuffled: ties break by token, not row
+    tokens = draw(st.one_of(
+        st.just(row_tokens(n)), st.just(row_tokens(n)[::-1]), st.permutations(row_tokens(n))
+    ))
+    return rows, tokens, queries, exclude, k, block_cells
 
 
 class TestTernaryExactness:
     @settings(max_examples=300, deadline=None)
     @given(ternary_searches())
     def test_matches_exact_oracle_word_for_word(self, search):
-        rows, queries, exclude, k, block_cells = search
-        index = _NeighborIndex(as_map(np.array(rows, dtype=np.float64)))
+        rows, tokens, queries, exclude, k, block_cells = search
+        index = _NeighborIndex(tokens, np.array(rows, dtype=np.int8))
         queries_arr = np.array(queries, dtype=np.float64)
         with mock.patch.object(evaluator, "_BLOCK_CELLS", block_cells):
             got = index.top_k(queries_arr, k, np.array(exclude, dtype=np.intp))
-        expected = [
-            [index.words[j] for j in exact_top_k(rows, q, k, set(ex))]
-            for q, ex in zip(queries, exclude)
-        ]
+        expected = [exact_top_k(rows, tokens, q, k, set(ex)) for q, ex in zip(queries, exclude)]
         assert got == expected
 
     def test_ties_at_the_kth_place_break_toward_the_smaller_token(self):
         # the third place is a tie between two rows in both searches
         rows = np.array([[1, 1, 0], [1, 0, 0], [0, 1, 0], [1, 0, 1], [0, 1, 1], [0, 0, 0]])
-        index = _NeighborIndex(as_map(rows.astype(np.float64)))
+        index = _NeighborIndex(row_tokens(6), rows)
         got = index.top_k(np.array([[1.0, 1.0, 1.0]]), 3, np.array([[0]]))
         assert got == [["w003", "w004", "w001"]]
         assert index.top_k(np.array([[1.0, 1.0, 0.0]]), 3, np.array([[0]])) == [
@@ -126,13 +138,13 @@ class TestTernaryExactness:
         rows[1] = 1.0
         query = np.zeros((1, 18))
         query[0, [0, 2, 3]] = 1.0
-        index = _NeighborIndex(as_map(rows))
+        index = _NeighborIndex(row_tokens(2), rows)
         nothing = np.zeros((1, 0), dtype=np.intp)
         assert index.top_k(query, 1, nothing) == [["w000"]]
         assert index.top_k(query, 2, nothing) == [["w000", "w001"]]
 
     def test_zero_query_and_exhausted_vocabulary_give_empty_lists(self):
-        index = _NeighborIndex(as_map(np.array([[1.0, 0.0], [0.0, 0.0]])))
+        index = _NeighborIndex(row_tokens(2), np.array([[1.0, 0.0], [0.0, 0.0]]))
         got = index.top_k(np.array([[0.0, 0.0], [1.0, 1.0]]), 5, np.array([[0], [0]]))
         assert got == [[], []]
 
@@ -144,7 +156,7 @@ class TestFloatMaps:
         matrix = rng.standard_normal((80, 16))
         matrix[7] = 0.0
         vectors = as_map(matrix)
-        index, oracle = _NeighborIndex(vectors), PerQueryIndex(vectors)
+        index, oracle = _as_index(vectors), PerQueryIndex(vectors)
         triples = rng.integers(0, 80, size=(40, 3))
         targets = matrix[triples[:, 1]] - matrix[triples[:, 0]] + matrix[triples[:, 2]]
         queries = np.vstack([matrix, targets])
@@ -159,7 +171,7 @@ class TestFloatMaps:
     def test_block_boundaries_do_not_change_rankings(self, monkeypatch):
         rng = np.random.default_rng(6)
         matrix = np.vstack([rng.standard_normal((30, 8)), rng.integers(-1, 2, size=(30, 8))])
-        index = _NeighborIndex(as_map(matrix))
+        index = _NeighborIndex(row_tokens(60), matrix)
         queries = matrix[::2] + matrix[1::2]
         exclude = np.arange(60).reshape(30, 2)
         whole = index.top_k(queries, 10, exclude)
@@ -191,10 +203,12 @@ def eight_pairs_one_quad(words):
 class TestSharedIndices:
     def test_metrics_accept_a_prebuilt_index(self, random_set):
         vectors = random_set.as_map()
-        index = _NeighborIndex(vectors)
+        index = _NeighborIndex(random_set.words, random_set.vectors)
         words = random_set.words
         quads = [AnalogyQuad(*words[i : i + 4]) for i in range(0, 40, 4)]
+        pairs = [SimilarityPair(words[i], words[i + 3], float(i % 7)) for i in range(60)]
         assert analogy_eval(index, quads) == analogy_eval(vectors, quads)
+        assert simlex_eval(index, pairs) == simlex_eval(vectors, pairs)
         assert overlap_at_k(index, index, 10) == overlap_at_k(vectors, vectors, 10) == 1.0
 
     def test_full_report_builds_one_index_per_representation(self, random_set, index_calls):
@@ -219,12 +233,54 @@ class TestSharedIndices:
         report = full_report(random_set, cfg, pairs, quads)
 
         result = roundtrip(random_set, cfg)
-        original_index = _NeighborIndex(random_set.as_map())
+        original_index = _NeighborIndex(random_set.words, random_set.vectors)
         spike = evaluator._metrics_for(
-            _NeighborIndex(result.decoded.as_map()), original_index, pairs, quads, list(words)
+            _NeighborIndex(result.decoded.words, result.decoded.values),
+            original_index, pairs, quads, list(words),
         )
         spike.reconstruction_accuracy = 1.0
         for f in fields(evaluator.RepresentationMetrics):
             assert getattr(report.spike, f.name) == getattr(spike, f.name), f.name
         # the spike column is a copy: filling it leaves the quantized column
         assert report.quantized.reconstruction_accuracy is None
+
+
+def shuffled(es, seed):
+    order = np.random.default_rng(seed).permutation(len(es))
+    return EmbeddingSet(tuple(es.words[i] for i in order), es.vectors[order])
+
+
+class TestRowOrder:
+    @pytest.mark.parametrize("seed", [None, 4])
+    def test_original_index_uses_the_embedding_matrix(self, random_set, monkeypatch, seed):
+        es = random_set if seed is None else shuffled(random_set, seed)
+        built = []
+        init = _NeighborIndex.__init__
+
+        def recorded(index, *args):
+            init(index, *args)
+            built.append(index)
+
+        monkeypatch.setattr(_NeighborIndex, "__init__", recorded)
+        full_report(es, CodecConfig(mode="lossless"), *eight_pairs_one_quad(es.words))
+        assert built[0].words == es.words
+        assert np.shares_memory(built[0].matrix, es.vectors)
+
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_shuffled_rows_give_the_same_report(self, random_set, seed):
+        words = random_set.words
+        pairs = [SimilarityPair(words[i], words[i + 3], float(i % 7)) for i in range(60)]
+        quads = [AnalogyQuad(*words[i : i + 4]) for i in range(0, 80, 4)]
+        cfg = CodecConfig(mode="lossless")
+        report = full_report(random_set, cfg, pairs, quads)
+        shuffled_report = full_report(shuffled(random_set, seed), cfg, pairs, quads)
+        # overlap@10 is a float mean taken in row order, so its last bit may differ
+        for a, b in zip(report._reps(), shuffled_report._reps()):
+            assert b.overlap_at_10 == pytest.approx(a.overlap_at_10, rel=1e-12)
+            assert replace(b, overlap_at_10=a.overlap_at_10) == a
+
+    def test_ties_break_by_token_not_row(self):
+        # equal rows: every search ties, and the smaller token must come first
+        index = _NeighborIndex(["c", "a", "d", "b"], np.ones((4, 2)))
+        assert index.top_k(np.ones((1, 2)), 4, np.zeros((1, 0), dtype=np.intp)) == [["a", "b", "c", "d"]]
+        assert index.own_top_k(["d"], 2) == [["a", "b"]]

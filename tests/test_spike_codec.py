@@ -64,6 +64,22 @@ class TestCodecConfig:
         with pytest.raises(ConfigError):
             CodecConfig(mode="quantum")
 
+    @pytest.mark.parametrize("settings", [
+        # 2 Hz x 0.2 s rounds to 0 spikes, so a -1 would decode as 0
+        {"rate_minus_hz": 2.0, "threshold_hz": 50.0},
+        # 100 Hz x 13 ms rounds to 1 spike, below the count threshold of 2
+        {"window_s": 0.013, "threshold_hz": 99.0},
+    ], ids=["minus-rounds-to-zero", "plus-below-threshold"])
+    def test_lossless_rejects_counts_that_do_not_decode(self, settings):
+        with pytest.raises(ConfigError, match="lossless mode emits"):
+            CodecConfig(mode="lossless", **settings)
+        CodecConfig(mode="stochastic", **settings)
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_lossless_presets_decode_exactly(self, random_set, name):
+        cfg = dataclasses.replace(PRESETS[name], mode="lossless")
+        assert roundtrip(random_set, cfg).matches.all()
+
     def test_alt_preset(self):
         assert ALT.window_s == 0.4
         assert (ALT.rate_plus_hz, ALT.rate_minus_hz) == (200.0, 25.0)
@@ -415,6 +431,9 @@ BAD_RECORDS = {
     "oversized time": '{"word":"b","window_ms":200.0,"trains":[[1' + "0" * 400 + '],[]]}',
 }
 
+# no dimensions at all: on line 1 no earlier record has a dimension count
+NO_DIMENSIONS = '{"word":"b","window_ms":200.0,"trains":[]}'
+
 
 def spike_times(window_s):
     """Spike times in [0, window_s) s, often on a formatting edge."""
@@ -556,4 +575,10 @@ class TestSerialization:
         path = tmp_path / "r.jsonl"
         path.write_text(GOOD_RECORD + "\n" + BAD_RECORDS[bad] + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match=r"r\.jsonl:2: bad raster record"):
+            read_raster_jsonl(str(path))
+
+    def test_record_without_dimensions_names_line(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        path.write_text(NO_DIMENSIONS + "\n" + GOOD_RECORD + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"r\.jsonl:1: bad raster record: trains must hold at least one"):
             read_raster_jsonl(str(path))

@@ -1,7 +1,9 @@
 """Every name a module imports is used in that module.
 
-Covers the package modules (``__init__.py`` re-exports on purpose) and the
-scripts.  There is no linter in this project, so this is the check.
+Covers the package modules (``__init__.py`` re-exports on purpose), the
+scripts, the benchmark and the tests.  The acceptance suite is left out:
+it is kept fixed, unused imports included.  There is no linter in this
+project, so this is the check.
 """
 
 import ast
@@ -13,6 +15,8 @@ ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(
     [p for p in (ROOT / "src" / "word2spike").glob("*.py") if p.name != "__init__.py"]
     + list((ROOT / "scripts").glob("*.py"))
+    + list((ROOT / "bench").glob("*.py"))
+    + [p for p in (ROOT / "tests").glob("*.py") if p.name != "test_acceptance.py"]
 )
 
 
