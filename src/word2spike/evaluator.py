@@ -29,25 +29,17 @@ class EvaluationError(ValueError):
     """Metric preconditions not met (degenerate or empty input)."""
 
 
-def _cosine_or_none(u: np.ndarray, v: np.ndarray) -> float | None:
-    """Cosine similarity, or None when either vector has zero norm."""
+def cosine(u: np.ndarray, v: np.ndarray) -> float:
+    """Cosine similarity; zero-norm vectors compare as 0 (with a warning)."""
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape:
         raise ValueError(f"length mismatch: {u.shape} vs {v.shape}")
     nu, nv = float(np.linalg.norm(u)), float(np.linalg.norm(v))
     if nu == 0.0 or nv == 0.0:
-        return None
-    return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
-
-
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity; zero-norm vectors compare as 0 (with a warning)."""
-    c = _cosine_or_none(u, v)
-    if c is None:
         log.warning("cosine of a zero-norm vector defined as 0")
         return 0.0
-    return c
+    return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
 
 
 def _fractional_ranks(xs: np.ndarray) -> np.ndarray:
@@ -85,30 +77,27 @@ def simlex_eval(
     ``vectors`` may be a prebuilt index.  Pairs with either word out of
     vocabulary are skipped and counted.  Pairs involving a zero-norm
     vector get cosine 0 and one aggregated warning.  Returns (rho, used,
-    skipped).
+    skipped).  The cosines of all used pairs are computed in one pass.
     """
     if not pairs:
         raise EvaluationError("no similarity pairs supplied")
     index = _as_index(vectors)
-    sims, scores = [], []
-    skipped = zero_norm = 0
-    for pair in pairs:
-        if pair.word_a not in index or pair.word_b not in index:
-            skipped += 1
-            continue
-        c = _cosine_or_none(index.vector(pair.word_a), index.vector(pair.word_b))
-        if c is None:
-            zero_norm += 1
-            c = 0.0
-        sims.append(c)
-        scores.append(pair.human_score)
-    if zero_norm:
-        log.warning("%d pairs involve a zero-norm vector; their cosine is taken as 0", zero_norm)
-    if len(sims) < 2:
+    used = [p for p in pairs if p.word_a in index and p.word_b in index]
+    skipped = len(pairs) - len(used)
+    a = np.array([index.row[p.word_a] for p in used], dtype=np.intp)
+    b = np.array([index.row[p.word_b] for p in used], dtype=np.intp)
+    sq_a, sq_b = index.sq_norms[a], index.sq_norms[b]
+    zero = (sq_a == 0.0) | (sq_b == 0.0)
+    dots = np.einsum("ij,ij->i", index.matrix[a], index.matrix[b])
+    norms = np.sqrt(sq_a) * np.sqrt(sq_b)
+    sims = np.clip(np.divide(dots, norms, out=np.zeros_like(dots), where=~zero), -1.0, 1.0)
+    if zero.any():
+        log.warning("%d pairs involve a zero-norm vector; their cosine is taken as 0", int(zero.sum()))
+    if len(used) < 2:
         raise EvaluationError(
-            f"only {len(sims)} in-vocabulary pairs ({skipped} skipped); need >= 2"
+            f"only {len(used)} in-vocabulary pairs ({skipped} skipped); need >= 2"
         )
-    return spearman(sims, scores), len(sims), skipped
+    return spearman(sims, [p.human_score for p in used]), len(used), skipped
 
 
 # rows x vocabulary cells scored per matrix product in _NeighborIndex.top_k;
@@ -144,7 +133,7 @@ class _NeighborIndex:
     @cached_property
     def zero_norm(self) -> np.ndarray:
         """The zero-norm rows; counted in one warning at the first search,
-        so an index that only looks up vectors does not warn."""
+        so an index used only for SimLex cosines does not warn."""
         zero = self.sq_norms == 0.0
         if zero.any():
             log.warning("%d zero-norm vectors excluded from neighbor rankings", int(zero.sum()))
@@ -152,9 +141,6 @@ class _NeighborIndex:
 
     def __contains__(self, word: str) -> bool:
         return word in self.row
-
-    def vector(self, word: str) -> np.ndarray:
-        return self.matrix[self.row[word]]
 
     def top_k(self, queries: np.ndarray, k: int, exclude: np.ndarray) -> list[list[str]]:
         """Top-k words for each row of an (m, d) query matrix.
@@ -247,6 +233,8 @@ def overlap_at_k(
     """Mean |top-k(a) ∩ top-k(b)| / k over the shared vocabulary.
 
     Either side may be a prebuilt index, whose top-k lists are reused.
+    The integer intersection sizes are summed and divided once, so the
+    mean is the correctly rounded fraction whatever the word order.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -256,7 +244,7 @@ def overlap_at_k(
     if not words:
         raise EvaluationError("empty shared vocabulary")
     pairs = zip(index_a.own_top_k(words, k), index_b.own_top_k(words, k))
-    return float(np.mean([len(set(top_a) & set(top_b)) / k for top_a, top_b in pairs]))
+    return sum(len(set(top_a) & set(top_b)) for top_a, top_b in pairs) / (k * len(words))
 
 
 def analogy_eval(

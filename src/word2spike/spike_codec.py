@@ -9,7 +9,8 @@ the window.  Lossless mode emits exactly round(rate * window) evenly spaced
 spikes, and accepts only configs where those counts decode back to their
 codes, so it guarantees perfect decode.  Decoding is purely count-based:
 zero spikes -> 0, count >= ceil(threshold * window) -> +1, anything else
--> -1.
+-> -1.  So a generated raster draws its counts at once and makes its spike
+times only when they are first read.
 
 All error probabilities are computed by exact Poisson summation, never a
 normal approximation.
@@ -175,9 +176,15 @@ class SpikeRaster:
     ``times`` holds every spike time within [0, window_s), grouped by
     dimension in order and ascending within each dimension; ``counts()[i]``
     is the number of spikes dimension i owns.
+
+    A raster from ``generate_raster`` holds its counts only, and makes its
+    times at the first read of ``times`` (or of ``trains``, or in
+    ``validate()``), from the same stream as its counts; later reads
+    return the same array.  That first read sets state, so a generated
+    raster must not be read from two threads at once.
     """
 
-    __slots__ = ("window_s", "times", "_counts")
+    __slots__ = ("window_s", "_times", "_counts", "_rng")
 
     def __init__(self, window_s: float, times, counts):
         times = np.asarray(times, dtype=np.float64)
@@ -187,8 +194,27 @@ class SpikeRaster:
         if np.any(counts < 0) or int(counts.sum()) != len(times):
             raise ValueError("counts must be nonnegative and sum to the number of spike times")
         self.window_s = window_s
-        self.times = times
+        self._times = times
         self._counts = counts
+        self._rng = None
+
+    @classmethod
+    def _deferred(cls, window_s: float, counts: np.ndarray, rng) -> SpikeRaster:
+        """A raster whose times ``_spike_times`` makes at their first read:
+        evenly spaced when ``rng`` is None, else drawn from ``rng``."""
+        raster = cls.__new__(cls)
+        raster.window_s = window_s
+        raster._times = None
+        raster._counts = counts
+        raster._rng = rng
+        return raster
+
+    @property
+    def times(self) -> np.ndarray:
+        if self._times is None:
+            self._times = _spike_times(self._counts, self.window_s, self._rng)
+            self._rng = None
+        return self._times
 
     def __len__(self) -> int:
         return len(self._counts)
@@ -221,13 +247,14 @@ class SpikeRaster:
             )
 
 
+def _rate_levels(cfg: CodecConfig) -> np.ndarray:
+    """The rates of codes -1, 0 and +1 in that order: code c's rate is at c + 1."""
+    return np.array([cfg.rate_minus_hz, 0.0, cfg.rate_plus_hz])
+
+
 def rates_from_ternary(codes: np.ndarray, cfg: CodecConfig) -> RateVector:
     """Map ternary codes to firing rates: +1/0/-1 -> rate_plus/0/rate_minus."""
-    values = np.asarray(codes)
-    rates = np.zeros(len(values), dtype=np.float64)
-    rates[values == 1] = cfg.rate_plus_hz
-    rates[values == -1] = cfg.rate_minus_hz
-    return RateVector(rates)
+    return RateVector(_rate_levels(cfg)[np.asarray(codes, dtype=np.intp) + 1])
 
 
 def _lossless_counts(rates_hz: np.ndarray, window_s: float) -> np.ndarray:
@@ -244,16 +271,28 @@ def generate_raster(rates: RateVector, cfg: CodecConfig, stream_id: int) -> Spik
     RNG stream per (seed, stream_id), so results do not depend on word
     processing order or parallelism.  Lossless mode emits round(rate *
     window) evenly spaced spikes per dimension.
+
+    Only the counts are drawn here.  The times are made at the first read
+    of ``times``: the stochastic ones continue the raster's own stream
+    after its counts, so they are the same whenever and in whatever order
+    rasters are read.  Decoding reads counts only, so ``roundtrip`` and
+    ``eval`` make no spike times.
     """
     window = cfg.window_s
     if cfg.mode == "lossless":
-        counts = _lossless_counts(rates.rates_hz, window)
+        return SpikeRaster._deferred(window, _lossless_counts(rates.rates_hz, window), None)
+    rng = np.random.default_rng([cfg.seed, stream_id])
+    return SpikeRaster._deferred(window, rng.poisson(rates.rates_hz * window), rng)
+
+
+def _spike_times(counts: np.ndarray, window: float, rng) -> np.ndarray:
+    """The flat spike times of a raster with these counts, grouped by
+    dimension and ascending within each: evenly spaced when ``rng`` is
+    None, else sorted iid Uniform[0, window) draws from ``rng``."""
+    if rng is None:
         dims = np.repeat(np.arange(len(counts)), counts)
         rank = np.arange(len(dims)) - (np.cumsum(counts) - counts)[dims]
-        return SpikeRaster(window, (rank + 0.5) * (window / counts[dims]), counts)
-
-    rng = np.random.default_rng([cfg.seed, stream_id])
-    counts = rng.poisson(rates.rates_hz * window)
+        return (rank + 0.5) * (window / counts[dims])
     times = rng.random(int(counts.sum())) * window
     # random() < 1, but do not rely on the rounded product staying below window
     np.minimum(times, np.nextafter(window, 0.0), out=times)
@@ -262,7 +301,7 @@ def generate_raster(rates: RateVector, cfg: CodecConfig, stream_id: int) -> Spik
     dims = np.repeat(np.arange(len(counts), dtype=np.min_scalar_type(len(counts))), counts)
     by_time = np.argsort(times)
     by_dim = by_time[np.argsort(dims[by_time], kind="stable")]
-    return SpikeRaster(window, times[by_dim], counts)
+    return times[by_dim]
 
 
 def estimate_rates(raster: SpikeRaster) -> RateVector:
@@ -296,17 +335,18 @@ class RoundTripResult:
 
 
 def roundtrip(es, cfg: CodecConfig) -> RoundTripResult:
-    """quantize -> rates -> Poisson rasters -> decode, for every word.
+    """quantize -> rates -> Poisson spike counts -> decode, for every word.
 
     stream_id is the word's vocabulary index, making per-word generation
-    independent of processing order.
+    independent of processing order.  Decoding reads counts only, so no
+    spike time is made.
     """
     ternary = quantize_all(es)
     decoded = np.empty_like(ternary.values)
     k_star = cfg.count_threshold
-    for i in range(len(ternary.words)):
-        rates = rates_from_ternary(ternary.values[i], cfg)
-        raster = generate_raster(rates, cfg, stream_id=i)
+    levels = _rate_levels(cfg)
+    for i, row in enumerate(ternary.values):
+        raster = generate_raster(RateVector(levels[row + 1]), cfg, stream_id=i)
         decoded[i] = _decode_counts(raster.counts(), k_star)
     decoded_set = TernarySet(ternary.words, decoded)
     matches = np.all(decoded == ternary.values, axis=1)
@@ -480,7 +520,8 @@ def write_raster_jsonl(path: str, words, rasters) -> None:
         block, size = [], 0
         for record in zip(words, rasters):
             block.append(record)
-            size += len(record[1].times) + len(record[1])
+            counts = record[1].counts()
+            size += int(counts.sum()) + len(counts)
             if size >= _BLOCK_SPIKES:
                 fh.write(_format_records(block))
                 block, size = [], 0

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from word2spike import spike_codec
 from word2spike.corpus_io import EmbeddingSet
 
 
@@ -16,6 +17,15 @@ def tiny_set():
             ]
         ),
     )
+
+
+@pytest.fixture
+def no_spike_times(monkeypatch):
+    """Make any read of a generated raster's times fail."""
+    def refuse(*args):
+        raise AssertionError("spike times were made")
+
+    monkeypatch.setattr(spike_codec, "_spike_times", refuse)
 
 
 @pytest.fixture

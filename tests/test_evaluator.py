@@ -1,11 +1,12 @@
 import logging
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from word2spike.corpus_io import AnalogyQuad, SimilarityPair
+from word2spike.corpus_io import AnalogyQuad, EmbeddingSet, SimilarityPair
 from word2spike.evaluator import (
     EvaluationError,
     _fractional_ranks,
@@ -20,6 +21,19 @@ from word2spike.evaluator import (
 )
 from word2spike.quantizer import TernarySet, quantize_all
 from word2spike.spike_codec import CodecConfig
+
+
+def order_sensitive_set():
+    """200 x 16 words on which a float mean of the per-word overlap
+    fractions depends on their order (0.489 or 0.48900000000000005)."""
+    rng = np.random.default_rng(42)
+    return EmbeddingSet(tuple(f"w{i:03d}" for i in range(200)), rng.standard_normal((200, 16)))
+
+
+def shuffled(es, seed):
+    order = np.random.default_rng(seed).permutation(len(es.words))
+    return EmbeddingSet(tuple(es.words[i] for i in order), es.vectors[order])
+
 
 # (xs, ys, rho) with rho computed by an independent exact-fraction
 # tied-rank oracle (average ranks, then Pearson over rationals)
@@ -147,6 +161,22 @@ class TestSimlexEval:
         assert rho == spearman(sims, [p.human_score for p in pairs])
         assert (used, skipped) == (29, 0)
 
+    @pytest.mark.parametrize("quantized", [False, True])
+    def test_matches_per_pair_cosines(self, random_set, quantized):
+        es = quantize_all(random_set) if quantized else random_set
+        vectors = dict(zip(es.words, es.values if quantized else es.vectors))
+        rng = np.random.default_rng(5)
+        words = list(es.words) + ["oov"]
+        pairs = [SimilarityPair(words[a], words[b], float(rng.normal()))
+                 for a, b in rng.integers(0, len(words), size=(300, 2)) if a != b]
+        rho, used, skipped = simlex_eval(vectors, pairs)
+        in_vocab = [p for p in pairs if "oov" not in (p.word_a, p.word_b)]
+        sims = [cosine(vectors[p.word_a], vectors[p.word_b]) for p in in_vocab]
+        expected = spearman(sims, [p.human_score for p in in_vocab])
+        # ternary dot products and norms are exact, so the cosines are too
+        assert rho == (expected if quantized else pytest.approx(expected, rel=1e-12))
+        assert (used, skipped) == (len(in_vocab), len(pairs) - len(in_vocab))
+
 
 class TestNeighbors:
     def test_tie_broken_lexicographically(self):
@@ -204,6 +234,15 @@ class TestOverlapAtK:
     def test_empty_shared_vocab(self):
         with pytest.raises(EvaluationError):
             overlap_at_k({"a": np.ones(2)}, {"b": np.ones(2)}, 1)
+
+    def test_exact_whatever_the_word_order(self):
+        es = order_sensitive_set()
+        ternary = quantize_all(es)
+        map_a, map_b = es.as_map(), dict(zip(ternary.words, ternary.values))
+        hits = sum(len(set(neighbors(map_a, w, 10)) & set(neighbors(map_b, w, 10))) for w in es.words)
+        exact = float(Fraction(hits, 10 * len(es.words)))
+        for seed in range(4):
+            assert overlap_at_k(map_a, map_b, 10, list(shuffled(es, seed).words)) == exact
 
 
 class TestAnalogyEval:
@@ -307,6 +346,19 @@ class TestFullReport:
         assert report.confusion is not None
         assert report.spike.reconstruction_accuracy <= 1.0
         assert 0.0 <= report.per_dimension_accuracy <= 1.0
+
+    def test_shuffled_rows_give_the_same_overlap(self):
+        es = order_sensitive_set()
+        cfg = CodecConfig(mode="lossless")
+        assert full_report(es, cfg).quantized.overlap_at_10 == 0.489
+        for seed in range(4):
+            assert full_report(shuffled(es, seed), cfg).quantized.overlap_at_10 == 0.489
+
+    @pytest.mark.parametrize("mode", ["stochastic", "lossless"])
+    def test_makes_no_spike_times(self, random_set, no_spike_times, mode):
+        pairs, quads = self.datasets(random_set.words)
+        report = full_report(random_set, CodecConfig(mode=mode, seed=4), pairs, quads)
+        assert report.confusion is not None
 
     def test_smoke_serializes(self, random_set):
         import json

@@ -193,6 +193,100 @@ class TestGenerateRaster:
                 assert len(raster) == 300
 
 
+def eager_generate_raster(rates, cfg, stream_id):
+    """generate_raster as it was when it drew counts and times in one call:
+    the oracle of the times a generated raster makes at its first read."""
+    window = cfg.window_s
+    if cfg.mode == "lossless":
+        counts = np.rint(rates.rates_hz * window).astype(np.int64)
+        dims = np.repeat(np.arange(len(counts)), counts)
+        rank = np.arange(len(dims)) - (np.cumsum(counts) - counts)[dims]
+        return SpikeRaster(window, (rank + 0.5) * (window / counts[dims]), counts)
+    rng = np.random.default_rng([cfg.seed, stream_id])
+    counts = rng.poisson(rates.rates_hz * window)
+    times = rng.random(int(counts.sum())) * window
+    np.minimum(times, np.nextafter(window, 0.0), out=times)
+    dims = np.repeat(np.arange(len(counts), dtype=np.min_scalar_type(len(counts))), counts)
+    by_time = np.argsort(times)
+    by_dim = by_time[np.argsort(dims[by_time], kind="stable")]
+    return SpikeRaster(window, times[by_dim], counts)
+
+
+MODES = ("stochastic", "lossless")
+
+
+@st_h.composite
+def raster_requests(draw):
+    """A config in either mode and the (rates, stream_id) of a few rasters."""
+    cfg = dataclasses.replace(
+        PRESETS[draw(st_h.sampled_from(sorted(PRESETS)))],
+        mode=draw(st_h.sampled_from(MODES)),
+        seed=draw(st_h.integers(0, 2**64 - 1)),
+    )
+    n_dims = draw(st_h.integers(0, 8))
+    rate = st_h.one_of(st_h.just(0.0), st_h.floats(0.0, 400.0))
+    rates = st_h.lists(rate, min_size=n_dims, max_size=n_dims).map(lambda r: RateVector(np.array(r)))
+    return cfg, draw(st_h.lists(st_h.tuples(rates, st_h.integers(0, 2**32)), min_size=1, max_size=6))
+
+
+class TestDeferredTimes:
+    @settings(max_examples=150, deadline=None)
+    @given(raster_requests(), st_h.data())
+    def test_times_equal_the_eager_oracle_in_any_read_order(self, requests, data):
+        cfg, specs = requests
+        rasters = [generate_raster(rates, cfg, stream_id) for rates, stream_id in specs]
+        oracles = [eager_generate_raster(rates, cfg, stream_id) for rates, stream_id in specs]
+        # every raster is generated before the first one is read
+        for i in data.draw(st_h.permutations(range(len(specs)))):
+            assert rasters[i].counts().tolist() == oracles[i].counts().tolist()
+            assert rasters[i].times.tobytes() == oracles[i].times.tobytes()
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_times_are_made_once(self, mode):
+        cfg = CodecConfig(mode=mode, seed=3)
+        raster = generate_raster(RateVector(np.array([100.0, 0.0, 50.0])), cfg, 0)
+        first = raster.times
+        raster.validate()
+        assert raster.times is first
+
+    def test_counts_need_no_times(self, no_spike_times):
+        raster = generate_raster(RateVector(np.array([100.0, 50.0])), CodecConfig(seed=3), 0)
+        assert len(raster) == 2 and raster.counts().sum() > 0
+        decode(raster, CodecConfig())
+        with pytest.raises(AssertionError, match="spike times were made"):
+            raster.times
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_roundtrip_makes_no_spike_times(self, random_set, no_spike_times, mode):
+        assert roundtrip(random_set, CodecConfig(mode=mode, seed=3)).decoded.values.shape == (100, 16)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_roundtrip_generates_one_raster_per_word(self, random_set, mode):
+        # one generate_raster call per word, with the rates rates_from_ternary gives
+        cfg = CodecConfig(mode=mode, seed=3)
+        with mock.patch.object(spike_codec, "generate_raster", wraps=generate_raster) as spy:
+            result = roundtrip(random_set, cfg)
+        assert spy.call_count == len(random_set.words)
+        for i, call in enumerate(spy.call_args_list):
+            rates, call_cfg = call.args
+            assert (call_cfg, call.kwargs) == (cfg, {"stream_id": i})
+            expected = rates_from_ternary(result.ternary.values[i], cfg).rates_hz
+            assert rates.rates_hz.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_writers_match_eager_rasters(self, tmp_path, mode):
+        cfg = dataclasses.replace(CodecConfig(), mode=mode, seed=14)
+        codes = np.random.default_rng(14).choice(np.array([-1, 0, 1], dtype=np.int8), size=(40, 300))
+        words = [f"w{i}" for i in range(len(codes))]
+        outputs = {}
+        for name, generate in (("deferred", generate_raster), ("eager", eager_generate_raster)):
+            rasters = [generate(rates_from_ternary(c, cfg), cfg, i) for i, c in enumerate(codes)]
+            write_raster_jsonl(str(tmp_path / f"{name}.jsonl"), words, rasters)
+            write_counts_csv(str(tmp_path / f"{name}.csv"), words, rasters)
+            outputs[name] = [(tmp_path / f"{name}.{ext}").read_bytes() for ext in ("jsonl", "csv")]
+        assert outputs["deferred"] == outputs["eager"]
+
+
 class TestSpikeRaster:
     def test_trains_view(self):
         raster = SpikeRaster(0.2, [0.1, 0.05, 0.15], [1, 0, 2])
