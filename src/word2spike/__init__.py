@@ -15,7 +15,7 @@ from .corpus_io import (
     load_wordlist,
     restrict,
 )
-from .quantizer import TernarySet, TernaryVector, quantize, quantize_all
+from .quantizer import TernarySet, TernaryVector, quantize_all
 from .spike_codec import (
     CodecConfig,
     ConfigError,
@@ -24,7 +24,6 @@ from .spike_codec import (
     RateVector,
     SpikeRaster,
     decode,
-    estimate_rates,
     generate_raster,
     misclassification_probabilities,
     rate_spread,
@@ -38,7 +37,6 @@ from .evaluator import (
     analogy_eval,
     cosine,
     full_report,
-    neighbors,
     overlap_at_k,
     reconstruction_accuracy,
     simlex_eval,

@@ -198,7 +198,9 @@ def _pyplot_for(word: str, words: tuple[str, ...]):
 
 def _plot_raster(plt, out_dir: str, word: str, raster) -> None:
     fig, ax = plt.subplots(figsize=(8, 4))
-    ax.eventplot([t * 1000.0 for t in raster.trains], linewidths=0.8, colors="black")
+    # one train per dimension, in ms; a dimension without spikes keeps its row
+    trains = np.split(raster.times * 1000.0, np.cumsum(raster.counts()[:-1]))
+    ax.eventplot(trains, linewidths=0.8, colors="black")
     ax.set_xlabel("time (ms)")
     ax.set_ylabel("dimension")
     ax.set_title(f"spike raster: {word}")

@@ -9,7 +9,7 @@ malformed input loudly, with line numbers; nothing is silently dropped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +32,6 @@ class EmbeddingSet:
 
     words: tuple[str, ...]
     vectors: np.ndarray
-    _index: dict[str, int] = field(repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         if len(self.words) < 1:
@@ -45,7 +44,6 @@ class EmbeddingSet:
             raise CorpusFormatError("duplicate words in embedding set")
         if not np.all(np.isfinite(self.vectors)):
             raise CorpusFormatError("non-finite value in embedding vectors")
-        object.__setattr__(self, "_index", {w: i for i, w in enumerate(self.words)})
 
     @property
     def dim(self) -> int:
@@ -53,12 +51,6 @@ class EmbeddingSet:
 
     def __len__(self) -> int:
         return len(self.words)
-
-    def __contains__(self, word: str) -> bool:
-        return word in self._index
-
-    def vector(self, word: str) -> np.ndarray:
-        return self.vectors[self._index[word]]
 
     def as_map(self) -> dict[str, np.ndarray]:
         return {w: self.vectors[i] for i, w in enumerate(self.words)}
@@ -180,45 +172,38 @@ def load_embeddings(path: str, lowercase: bool = False) -> EmbeddingSet:
     return EmbeddingSet(tuple(words), np.stack(rows))
 
 
-def save_embeddings(es: EmbeddingSet, path: str) -> None:
-    """Write an EmbeddingSet in the text format, round-trippable exactly.
-
-    Uses shortest-repr float formatting so reload recovers identical
-    binary floating-point values.
-    """
-    with open(path, "w", encoding="utf-8") as fh:
-        for word, vec in zip(es.words, es.vectors):
-            fh.write(word + " " + " ".join(repr(float(v)) for v in vec) + "\n")
-
-
 def load_simlex(path: str, lowercase: bool = False) -> list[SimilarityPair]:
-    """Load a SimLex-999 style TSV with columns word1, word2, SimLex999."""
-    with open(path, encoding="utf-8", newline=None) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise CorpusFormatError(f"{path}: empty file")
+    """Load a SimLex-999 style TSV with columns word1, word2, SimLex999.
 
-    header = lines[0].split("\t")
-    try:
-        i_a = header.index("word1")
-        i_b = header.index("word2")
-        i_s = header.index("SimLex999")
-    except ValueError as exc:
-        raise CorpusFormatError(
-            f"{path}: header must contain word1, word2 and SimLex999 columns"
-        ) from exc
-
+    Lines end at ``\n``, ``\r`` or ``\r\n`` only, so an error names the
+    line a text editor shows; any other Unicode line break stays inside
+    its column.
+    """
     pairs = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        cols = line.split("\t")
-        if len(cols) <= max(i_a, i_b, i_s):
-            raise CorpusFormatError(f"{path}:{lineno}: too few columns")
-        a, b = cols[i_a], cols[i_b]
-        if lowercase:
-            a, b = a.lower(), b.lower()
-        pairs.append(SimilarityPair(a, b, _parse_float(cols[i_s], path, lineno)))
+    with open(path, encoding="utf-8", newline=None) as fh:
+        first = fh.readline()
+        if not first:
+            raise CorpusFormatError(f"{path}: empty file")
+        header = first.rstrip("\n").split("\t")
+        try:
+            i_a = header.index("word1")
+            i_b = header.index("word2")
+            i_s = header.index("SimLex999")
+        except ValueError as exc:
+            raise CorpusFormatError(
+                f"{path}: header must contain word1, word2 and SimLex999 columns"
+            ) from exc
+
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            cols = line.rstrip("\n").split("\t")
+            if len(cols) <= max(i_a, i_b, i_s):
+                raise CorpusFormatError(f"{path}:{lineno}: too few columns")
+            a, b = cols[i_a], cols[i_b]
+            if lowercase:
+                a, b = a.lower(), b.lower()
+            pairs.append(SimilarityPair(a, b, _parse_float(cols[i_s], path, lineno)))
     return pairs
 
 
@@ -266,9 +251,9 @@ def restrict(es: EmbeddingSet, words: WordList) -> tuple[EmbeddingSet, int]:
     Returns the restricted set plus the count of list words missing from
     the embedding vocabulary.  Raises EmptyResultError if nothing survives.
     """
-    kept = [w for w in words if w in es]
+    row = {w: i for i, w in enumerate(es.words)}
+    kept = [w for w in words if w in row]
     missing = len(words) - len(kept)
     if not kept:
         raise EmptyResultError("no words shared between embedding set and word list")
-    vectors = np.stack([es.vector(w) for w in kept])
-    return EmbeddingSet(tuple(kept), vectors), missing
+    return EmbeddingSet(tuple(kept), es.vectors[[row[w] for w in kept]]), missing

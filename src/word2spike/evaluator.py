@@ -210,20 +210,6 @@ def _as_index(vectors: Mapping[str, np.ndarray] | _NeighborIndex) -> _NeighborIn
     return _NeighborIndex(vectors, np.stack(list(vectors.values())))
 
 
-def neighbors(vectors: Mapping[str, np.ndarray] | _NeighborIndex, query: str, k: int) -> list[str]:
-    """Top-k cosine nearest neighbors of a vocabulary word, query excluded.
-
-    Ties break lexicographically; returns fewer than k words only when the
-    vocabulary runs out.
-    """
-    index = _as_index(vectors)
-    if query not in index:
-        raise EvaluationError(f"query {query!r} not in vocabulary")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return index.own_top_k([query], k)[0]
-
-
 def overlap_at_k(
     map_a: Mapping[str, np.ndarray] | _NeighborIndex,
     map_b: Mapping[str, np.ndarray] | _NeighborIndex,

@@ -70,17 +70,6 @@ def _absmean(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return gammas, codes
 
 
-def quantize(v: np.ndarray) -> TernaryVector:
-    """Ternarize one nonempty finite vector by the absmean rule."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.size == 0:
-        raise ValueError("empty vector")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("non-finite value in vector")
-    _, codes = _absmean(v.reshape(1, -1))
-    return TernaryVector(codes[0])
-
-
 def quantize_all(es: EmbeddingSet) -> TernarySet:
     """Quantize every word of an EmbeddingSet, preserving word order."""
     gammas, codes = _absmean(es.vectors)

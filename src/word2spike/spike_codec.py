@@ -22,6 +22,7 @@ import csv
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +43,12 @@ def _check_setting(key: str, value) -> None:
         raise ConfigError(f"window_s must be positive, got {value}")
     if key == "mode" and value not in _MODES:
         raise ConfigError(f"mode must be one of {_MODES}, got {value!r}")
-    if key == "seed" and not 0 <= int(value) < 2**64:
-        raise ConfigError("seed must be a 64-bit unsigned integer")
+    if key == "seed":
+        # a float or a bool would pass int(); numpy integers are Integral
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ConfigError(f"seed must be an integer, got {value!r}")
+        if not 0 <= value < 2**64:
+            raise ConfigError("seed must be a 64-bit unsigned integer")
 
 
 @dataclass(frozen=True)
@@ -116,17 +121,6 @@ _CONFIG_TYPES = {
 }
 
 
-def save_codec_config(cfg: CodecConfig, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for key in _CONFIG_TYPES:
-            fh.write(f"{key} = {getattr(cfg, key)}\n")
-
-
-def load_codec_config(path: str) -> CodecConfig:
-    """Parse the key-value config format written by save_codec_config."""
-    return CodecConfig(**_read_config(path))
-
-
 def _read_config(path: str) -> dict:
     """The keyword arguments a config file sets, typed for CodecConfig."""
     kwargs: dict = {}
@@ -175,12 +169,12 @@ class SpikeRaster:
 
     ``times`` holds every spike time within [0, window_s), grouped by
     dimension in order and ascending within each dimension; ``counts()[i]``
-    is the number of spikes dimension i owns.
+    is the number of spikes dimension i owns, so dimension i's train is
+    the i-th piece of ``np.split(times, np.cumsum(counts()[:-1]))``.
 
     A raster from ``generate_raster`` holds its counts only, and makes its
-    times at the first read of ``times`` (or of ``trains``, or in
-    ``validate()``), from the same stream as its counts; later reads
-    return the same array.  That first read sets state, so a generated
+    times at the first read of ``times`` (also in ``validate()``), from the
+    same stream as its counts; later reads return the same array.  That first read sets state, so a generated
     raster must not be read from two threads at once.
     """
 
@@ -221,13 +215,6 @@ class SpikeRaster:
 
     def counts(self) -> np.ndarray:
         return self._counts
-
-    @property
-    def trains(self) -> tuple[np.ndarray, ...]:
-        """Per-dimension views into ``times``."""
-        if len(self._counts) == 0:
-            return ()
-        return tuple(np.split(self.times, np.cumsum(self._counts[:-1])))
 
     def validate(self) -> None:
         """Full invariant check; O(total spikes), kept out of the hot path."""
@@ -302,11 +289,6 @@ def _spike_times(counts: np.ndarray, window: float, rng) -> np.ndarray:
     by_time = np.argsort(times)
     by_dim = by_time[np.argsort(dims[by_time], kind="stable")]
     return times[by_dim]
-
-
-def estimate_rates(raster: SpikeRaster) -> RateVector:
-    """Estimated firing rate per dimension: spike count / window."""
-    return RateVector(raster.counts() / raster.window_s)
 
 
 def decode(raster: SpikeRaster, cfg: CodecConfig) -> TernaryVector:

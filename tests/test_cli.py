@@ -4,12 +4,17 @@ import os
 import shlex
 import subprocess
 import sys
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import word2spike
 from word2spike.cli import build_parser, main
+from word2spike.corpus_io import load_embeddings
+from word2spike.quantizer import quantize_all
+from word2spike.spike_codec import CodecConfig, generate_raster, rates_from_ternary
 
 from conftest import write_lines
 from test_spike_codec import BAD_RECORDS, GOOD_RECORD, NO_DIMENSIONS
@@ -185,6 +190,54 @@ class TestEncodeCmd:
                      "--plot-word", "cat", "--out-dir", str(out)]) == 2
         assert "matplotlib is required" in capsys.readouterr().err
         assert not (out / "rasters.jsonl").exists()
+
+    def test_plot_word_draws_each_dimension_in_ms(self, tmp_path, emb_file, monkeypatch):
+        calls = []
+
+        class Axes:
+            def eventplot(self, trains, **kwargs):
+                calls.append(("eventplot", trains, kwargs))
+
+            def __getattr__(self, name):  # set_xlabel, set_ylabel, set_title
+                return lambda *args, **kwargs: None
+
+        class Figure:
+            def savefig(self, path, **kwargs):
+                calls.append(("savefig", path, kwargs))
+                Path(path).write_bytes(b"<svg/>")
+
+        matplotlib = types.ModuleType("matplotlib")
+        pyplot = types.ModuleType("matplotlib.pyplot")
+        matplotlib.use = lambda backend: calls.append(("use", backend))
+        matplotlib.pyplot = pyplot
+        figure = Figure()
+        pyplot.subplots = lambda **kwargs: (figure, Axes())
+        pyplot.close = lambda fig: calls.append(("close", fig))
+        monkeypatch.setitem(sys.modules, "matplotlib", matplotlib)
+        monkeypatch.setitem(sys.modules, "matplotlib.pyplot", pyplot)
+
+        out = tmp_path / "e"
+        assert main(["encode", "--embeddings", emb_file, "--seed", "5",
+                     "--plot-word", "fox", "--out-dir", str(out)]) == 0
+
+        cfg = CodecConfig(seed=5)
+        codes = quantize_all(load_embeddings(emb_file)).values
+        raster = generate_raster(rates_from_ternary(codes[2], cfg), cfg, stream_id=2)
+        counts = raster.counts()
+        assert 0 in counts  # an empty dimension keeps its row
+        expected = np.split(raster.times, np.cumsum(counts[:-1]))
+        assert [name for name, *_ in calls] == ["use", "eventplot", "savefig", "close"]
+        trains = calls[1][1]
+        assert len(trains) == len(counts) == 4
+        for got, want in zip(trains, expected):
+            assert np.array_equal(got, want * 1000.0)
+        # drawn into a temp file beside the output, then renamed into place
+        tmp = Path(calls[2][1])
+        assert (tmp.parent, tmp.name[:5], tmp.suffix) == (out, ".w2s-", ".tmp")
+        assert calls[2][2] == {"format": "svg"}
+        assert (out / "raster_fox.svg").read_bytes() == b"<svg/>"
+        assert not tmp.exists()
+        assert calls[3][1] is figure
 
 
 class TestDecodeCmd:

@@ -15,7 +15,6 @@ from word2spike.corpus_io import (
     load_simlex,
     load_wordlist,
     restrict,
-    save_embeddings,
 )
 
 from conftest import write_lines
@@ -27,7 +26,7 @@ class TestLoadEmbeddings:
         es = load_embeddings(path)
         assert es.dim == 2
         assert es.words == ("cat", "dog")
-        assert np.array_equal(es.vector("cat"), [1.0, 0.0])
+        assert np.array_equal(es.as_map()["cat"], [1.0, 0.0])
 
     def test_header(self, tmp_path):
         path = write_lines(tmp_path / "e.txt", ["2 3", "a 1 2 3", "b 4 5 6"])
@@ -161,7 +160,11 @@ class TestLoadEmbeddings:
             tuple(w for w, _ in rows), np.array([v for _, v in rows], dtype=np.float64)
         )
         path = tmp_path_factory.mktemp("rt") / "e.txt"
-        save_embeddings(es, str(path))
+        # shortest-repr floats name the exact binary value
+        path.write_text(
+            "".join(w + " " + " ".join(repr(float(v)) for v in row) + "\n" for w, row in zip(es.words, es.vectors)),
+            encoding="utf-8",
+        )
         back = load_embeddings(str(path))
         assert back.words == es.words
         assert np.array_equal(back.vectors, es.vectors)
@@ -189,6 +192,20 @@ class TestLoadSimlex:
         path = write_lines(tmp_path / "s.tsv", ["word1\tword2\tscore", "a\tb\t1"])
         with pytest.raises(CorpusFormatError, match="SimLex999"):
             load_simlex(path)
+
+    # a file line ends at \n, \r or \r\n only, as in the other loaders;
+    # str.splitlines also broke lines at these, so later errors named the
+    # wrong line
+    @pytest.mark.parametrize("brk", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_unicode_line_break_stays_inside_its_line(self, tmp_path, brk):
+        path = tmp_path / "s.tsv"
+        path.write_text(f"{self.HEADER}\r\nold\tnew\tA\t1.5\t2{brk}\nc\td\tA\toops\t1\n", encoding="utf-8")
+        with pytest.raises(CorpusFormatError) as exc:
+            load_simlex(str(path))
+        assert str(exc.value) == f"{path}:3: unparsable number 'oops'"
+        path.write_text(f"{self.HEADER}\rold\tnew\tA\t1.5\t{brk}2{brk}\r\nc\td\tA\t3\t1\n", encoding="utf-8")
+        pairs = load_simlex(str(path))
+        assert [(p.word_a, p.word_b, p.human_score) for p in pairs] == [("old", "new", 1.5), ("c", "d", 3.0)]
 
 
 class TestLoadAnalogies:
@@ -228,7 +245,7 @@ class TestRestrict:
         restricted, missing = restrict(tiny_set, WordList(("fox", "cat")))
         assert restricted.words == ("fox", "cat")
         assert missing == 0
-        assert np.array_equal(restricted.vector("cat"), tiny_set.vector("cat"))
+        assert np.array_equal(restricted.vectors, tiny_set.vectors[[2, 0]])
 
     def test_counts_missing(self, tiny_set):
         restricted, missing = restrict(tiny_set, WordList(("emu", "cat")))

@@ -3,13 +3,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from word2spike.corpus_io import CorpusFormatError
+from word2spike.corpus_io import CorpusFormatError, EmbeddingSet
 from word2spike.quantizer import (
     TernarySet,
     TernaryVector,
     _absmean,
     load_ternary,
-    quantize,
     quantize_all,
     save_ternary,
 )
@@ -19,6 +18,11 @@ finite_vectors = st.lists(
     min_size=1,
     max_size=32,
 ).map(np.array)
+
+
+def quantize(v) -> np.ndarray:
+    """The codes quantize_all gives the one-word set holding ``v``."""
+    return quantize_all(EmbeddingSet(("w",), np.asarray(v, dtype=np.float64).reshape(1, -1))).values[0]
 
 
 def test_absmean_gamma_hand_value():
@@ -38,26 +42,23 @@ def test_absmean_gamma_single_negative():
 
 
 def test_absmean_gamma_empty_rejected():
-    # the scale of an empty vector is undefined, so quantize refuses it
-    with pytest.raises(ValueError):
+    # the scale of an empty vector is undefined; no word set can hold one
+    with pytest.raises(ValueError, match="dimensionality must be >= 1"):
         quantize(np.array([]))
 
 
 def test_quantize_three_cases():
     # gamma = 1; 2 > gamma -> +1, |-1| <= gamma -> 0 (boundary), |0| <= gamma -> 0
-    t = quantize(np.array([2.0, -1.0, 0.0]))
-    assert t.values.tolist() == [1, 0, 0]
+    assert quantize(np.array([2.0, -1.0, 0.0])).tolist() == [1, 0, 0]
 
 
 def test_quantize_zero_vector():
-    t = quantize(np.zeros(4))
-    assert t.values.tolist() == [0, 0, 0, 0]
+    assert quantize(np.zeros(4)).tolist() == [0, 0, 0, 0]
 
 
 def test_quantize_boundary_values_go_to_zero():
     # gamma = 3 exactly; strict inequalities leave both at 0
-    t = quantize(np.array([3.0, -3.0]))
-    assert t.values.tolist() == [0, 0]
+    assert quantize(np.array([3.0, -3.0])).tolist() == [0, 0]
 
 
 def test_ternary_vector_rejects_bad_alphabet():
@@ -112,9 +113,7 @@ def test_load_ternary_rejects_fraction(tmp_path):
 @settings(max_examples=300, deadline=None)
 @given(finite_vectors)
 def test_sign_symmetry(v):
-    pos = quantize(v)
-    neg = quantize(-v)
-    assert np.array_equal(neg.values, -pos.values)
+    assert np.array_equal(quantize(-v), -quantize(v))
 
 
 @settings(max_examples=300, deadline=None)
@@ -124,27 +123,24 @@ def test_positive_scale_invariance(v, c):
     # distance of the gamma boundary, where the comparison can flip
     gamma = np.mean(np.abs(v))
     assume(np.all(np.abs(np.abs(v) - gamma) > 1e-9 * max(1.0, gamma)))
-    base = quantize(v)
-    scaled = quantize(c * v)
-    assert np.array_equal(scaled.values, base.values)
+    assert np.array_equal(quantize(c * v), quantize(v))
 
 
 @settings(max_examples=300, deadline=None)
 @given(finite_vectors)
 def test_alphabet_and_counts(v):
     t = quantize(v)
-    assert set(np.unique(t.values)) <= {-1, 0, 1}
-    counts = sum(int(np.sum(t.values == s)) for s in (-1, 0, 1))
+    assert set(np.unique(t)) <= {-1, 0, 1}
+    counts = sum(int(np.sum(t == s)) for s in (-1, 0, 1))
     assert counts == len(v)
 
 
 @settings(max_examples=200, deadline=None)
 @given(finite_vectors)
 def test_matches_definition(v):
-    t = quantize(v)
     gamma = np.mean(np.abs(v))
     expected = np.where(v > gamma, 1, np.where(v < -gamma, -1, 0))
-    assert np.array_equal(t.values, expected)
+    assert np.array_equal(quantize(v), expected)
 
 
 class TestQuantizeAll:
@@ -152,13 +148,11 @@ class TestQuantizeAll:
         ts = quantize_all(tiny_set)
         assert ts.words == tiny_set.words
         for i, word in enumerate(tiny_set.words):
-            single = quantize(tiny_set.vectors[i])
-            assert np.array_equal(ts.values[i], single.values)
+            # each row is quantized on its own scale, as if it were alone
+            assert np.array_equal(ts.values[i], quantize(tiny_set.vectors[i]))
             assert ts.gammas[i] == np.mean(np.abs(tiny_set.vectors[i]))
 
     def test_negation_flips_all(self, random_set):
-        from word2spike.corpus_io import EmbeddingSet
-
         flipped = EmbeddingSet(random_set.words, -random_set.vectors)
         assert np.array_equal(quantize_all(flipped).values, -quantize_all(random_set).values)
 

@@ -19,10 +19,9 @@ from word2spike.spike_codec import (
     ConfigError,
     RateVector,
     SpikeRaster,
+    _read_config,
     decode,
-    estimate_rates,
     generate_raster,
-    load_codec_config,
     misclassification_probabilities,
     poisson_cdf,
     poisson_pmf,
@@ -31,7 +30,6 @@ from word2spike.spike_codec import (
     rates_from_ternary,
     read_raster_jsonl,
     roundtrip,
-    save_codec_config,
     suggest_threshold,
     threshold_curve,
     write_counts_csv,
@@ -41,9 +39,15 @@ from word2spike.spike_codec import (
 ALT = PRESETS["paper-400ms"]
 
 
+def trains(raster):
+    """Each dimension's spike times, split out of the flat ``times``."""
+    counts = raster.counts()
+    return np.split(raster.times, np.cumsum(counts[:-1])) if len(counts) else []
+
+
 def raster_from_counts(counts, window_s=0.2):
-    trains = [(np.arange(c, dtype=float) + 0.5) * (window_s / c) for c in counts if c]
-    return SpikeRaster(window_s, np.concatenate([np.empty(0), *trains]), counts)
+    spaced = [(np.arange(c, dtype=float) + 0.5) * (window_s / c) for c in counts if c]
+    return SpikeRaster(window_s, np.concatenate([np.empty(0), *spaced]), counts)
 
 
 class TestCodecConfig:
@@ -92,15 +96,45 @@ class TestCodecConfig:
     def test_config_file_roundtrip(self, tmp_path):
         cfg = CodecConfig(window_s=0.4, rate_plus_hz=200, rate_minus_hz=25,
                           threshold_hz=85, mode="lossless", seed=99)
-        path = str(tmp_path / "codec.cfg")
-        save_codec_config(cfg, path)
-        assert load_codec_config(path) == cfg
+        path = tmp_path / "codec.cfg"
+        path.write_text("# the alternate preset, lossless\nwindow_s = 0.4\nrate_plus_hz = 200\n\n"
+                        "rate_minus_hz=25\nthreshold_hz = 85.0\nmode = lossless\nseed = 99\n")
+        assert CodecConfig(**_read_config(str(path))) == cfg
 
     def test_config_file_unknown_key(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("volume = 11\n")
-        with pytest.raises(ConfigError):
-            load_codec_config(str(path))
+        with pytest.raises(ConfigError, match="bad.cfg:1: unknown key 'volume'"):
+            _read_config(str(path))
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0, True, np.float64(3.0), "4"],
+                             ids=["fraction", "whole-float", "bool", "numpy-float", "string"])
+    def test_non_integer_seed_rejected(self, seed):
+        # int() would take each of these; default_rng would then fail, or
+        # silently seed from a bool
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            CodecConfig(seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, np.int64(7), np.uint64(2**64 - 1)])
+    def test_integer_seeds_accepted(self, seed):
+        assert CodecConfig(seed=seed).seed == seed
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, np.int64(-1)])
+    def test_seed_out_of_range_rejected(self, seed):
+        with pytest.raises(ConfigError, match="seed must be a 64-bit unsigned integer"):
+            CodecConfig(seed=seed)
+
+    @pytest.mark.parametrize("line, message", [
+        ("seed = -1", "c.cfg:2: seed must be a 64-bit unsigned integer"),
+        ("seed = 1.5", "c.cfg:2: seed must be int, got '1.5'"),
+        ("seed = true", "c.cfg:2: seed must be int, got 'true'"),
+    ], ids=["negative", "fraction", "bool"])
+    def test_config_file_seed_error_names_line(self, tmp_path, line, message):
+        path = tmp_path / "c.cfg"
+        path.write_text(f"mode = stochastic\n{line}\n")
+        with pytest.raises(ConfigError) as info:
+            _read_config(str(path))
+        assert str(info.value) == f"{path.parent}/{message}"
 
 
 class TestRatesFromTernary:
@@ -122,7 +156,7 @@ class TestGenerateRaster:
         rates = RateVector(np.array([0.0]))
         for mode in ("stochastic", "lossless"):
             cfg = dataclasses.replace(CodecConfig(), mode=mode)
-            assert len(generate_raster(rates, cfg, 0).trains[0]) == 0
+            assert len(trains(generate_raster(rates, cfg, 0))[0]) == 0
 
     def test_lossless_exact_counts(self):
         cfg = CodecConfig(mode="lossless")
@@ -132,7 +166,7 @@ class TestGenerateRaster:
 
     def test_lossless_spikes_evenly_spaced(self):
         cfg = CodecConfig(mode="lossless")
-        train = generate_raster(RateVector(np.array([100.0])), cfg, 0).trains[0]
+        train = trains(generate_raster(RateVector(np.array([100.0])), cfg, 0))[0]
         gaps = np.diff(train)
         assert np.allclose(gaps, gaps[0])
         assert 0 <= train[0] and train[-1] < cfg.window_s
@@ -143,15 +177,15 @@ class TestGenerateRaster:
         a = generate_raster(rates, cfg, stream_id=7)
         b = generate_raster(rates, cfg, stream_id=7)
         a.validate()
-        for ta, tb in zip(a.trains, b.trains):
+        for ta, tb in zip(trains(a), trains(b)):
             assert np.array_equal(ta, tb)
 
     def test_stochastic_streams_differ(self):
         cfg = CodecConfig(seed=123)
         rates = RateVector(np.array([100.0]))
-        a = generate_raster(rates, cfg, stream_id=0).trains[0]
-        b = generate_raster(rates, cfg, stream_id=1).trains[0]
-        c = generate_raster(rates, dataclasses.replace(cfg, seed=124), stream_id=0).trains[0]
+        a = trains(generate_raster(rates, cfg, stream_id=0))[0]
+        b = trains(generate_raster(rates, cfg, stream_id=1))[0]
+        c = trains(generate_raster(rates, dataclasses.replace(cfg, seed=124), stream_id=0))[0]
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -159,7 +193,7 @@ class TestGenerateRaster:
         # moderate-size check here; the full calibration lives in acceptance
         cfg = CodecConfig(seed=5)
         counts = [
-            len(generate_raster(RateVector(np.array([100.0])), cfg, i).trains[0])
+            len(trains(generate_raster(RateVector(np.array([100.0])), cfg, i))[0])
             for i in range(4000)
         ]
         lam = 20.0
@@ -290,7 +324,7 @@ class TestDeferredTimes:
 class TestSpikeRaster:
     def test_trains_view(self):
         raster = SpikeRaster(0.2, [0.1, 0.05, 0.15], [1, 0, 2])
-        assert [t.tolist() for t in raster.trains] == [[0.1], [], [0.05, 0.15]]
+        assert [t.tolist() for t in trains(raster)] == [[0.1], [], [0.05, 0.15]]
         assert raster.counts().tolist() == [1, 0, 2]
         raster.validate()  # times may descend across a dimension boundary
 
@@ -313,10 +347,6 @@ class TestSpikeRaster:
 
 
 class TestEstimateAndDecode:
-    def test_estimate_rates(self):
-        raster = raster_from_counts([14, 0, 21])
-        assert estimate_rates(raster).rates_hz.tolist() == [70.0, 0.0, 105.0]
-
     def test_decode_nominal(self):
         assert decode(raster_from_counts([20, 0, 10]), CodecConfig()).values.tolist() == [1, 0, -1]
 
@@ -497,7 +527,7 @@ def reference_jsonl(words, rasters):
         record = {
             "word": word,
             "window_ms": round(raster.window_s * 1000.0, 6),
-            "trains": [[round(t * 1000.0, 3) for t in train] for train in raster.trains],
+            "trains": [[round(t * 1000.0, 3) for t in train] for train in trains(raster)],
         }
         lines.append(json.dumps(record, separators=(",", ":")) + "\n")
     return "".join(lines)
@@ -575,7 +605,7 @@ class TestSerialization:
         for orig, back in zip(rasters, back_rasters):
             assert back.window_s == pytest.approx(orig.window_s)
             assert np.array_equal(back.counts(), orig.counts())
-            for t_orig, t_back in zip(orig.trains, back.trains):
+            for t_orig, t_back in zip(trains(orig), trains(back)):
                 # export rounds to 3 decimal places in ms
                 assert np.allclose(t_back, t_orig, atol=5.01e-7)
             assert np.array_equal(decode(back, cfg).values, decode(orig, cfg).values)
