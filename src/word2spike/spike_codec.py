@@ -151,7 +151,7 @@ def _read_config(path: str) -> dict:
 
 @dataclass(frozen=True)
 class RateVector:
-    """Per-dimension target (or estimated) firing rates in Hz."""
+    """Per-dimension target firing rates in Hz."""
 
     rates_hz: np.ndarray
 
@@ -174,8 +174,9 @@ class SpikeRaster:
 
     A raster from ``generate_raster`` holds its counts only, and makes its
     times at the first read of ``times`` (also in ``validate()``), from the
-    same stream as its counts; later reads return the same array.  That first read sets state, so a generated
-    raster must not be read from two threads at once.
+    same stream as its counts; later reads return the same array.  That
+    first read sets state, so a generated raster must not be read from two
+    threads at once.
     """
 
     __slots__ = ("window_s", "_times", "_counts", "_rng")

@@ -193,9 +193,8 @@ class TestLoadSimlex:
         with pytest.raises(CorpusFormatError, match="SimLex999"):
             load_simlex(path)
 
-    # a file line ends at \n, \r or \r\n only, as in the other loaders;
-    # str.splitlines also broke lines at these, so later errors named the
-    # wrong line
+    # a file line ends at \n, \r or \r\n only, as in the other loaders, so
+    # an error names the line an editor shows
     @pytest.mark.parametrize("brk", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
     def test_unicode_line_break_stays_inside_its_line(self, tmp_path, brk):
         path = tmp_path / "s.tsv"
