@@ -6,9 +6,12 @@ reproducible batch job.  Every run writes a manifest (resolved config,
 input digests, seed, command, working directory, version, timestamp) next
 to its outputs; two runs with equal manifests produce identical outputs.
 
-Exit codes: 0 success, 2 input error, 3 empty result, 4 config error.
-Output files are written to a temp name and atomically renamed, so a
-failed run leaves no partial outputs; they get the umask's permissions.
+Exit codes: 0 success, 2 input error (an unwritable out-dir included),
+3 empty result, 4 config error.  A run publishes its files in one step:
+every output and then the manifest is written to a temp name in the
+out-dir, and only then are they renamed into place, manifest last.  So a
+run that fails before its renames changes no file.  Outputs get the
+umask's permissions.
 """
 
 from __future__ import annotations
@@ -60,27 +63,6 @@ EXIT_EMPTY = 3
 EXIT_CONFIG = 4
 
 
-def _atomic_writer(path: str, write_fn) -> None:
-    """Run write_fn against a temp path, then atomically rename into place.
-
-    The file gets the mode a plain open() would give it, 0o666 less the
-    umask; mkstemp creates it at 0o600 whatever the umask.
-    """
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".w2s-", suffix=".tmp")
-    os.close(fd)
-    try:
-        write_fn(tmp)
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _sha256(path: str) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -89,8 +71,8 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def write_manifest(args, cfg: CodecConfig | None, inputs: dict[str, str]) -> None:
-    """Write manifest.json into args.out_dir, recording args.command_line."""
+def write_manifest(args, cfg: CodecConfig | None, inputs: dict[str, str]) -> str:
+    """The text of manifest.json, recording args.command_line."""
     manifest = {
         "command": args.command_line,
         # relative paths in the command resolve against this directory
@@ -101,10 +83,44 @@ def write_manifest(args, cfg: CodecConfig | None, inputs: dict[str, str]) -> Non
         "seed": cfg.seed if cfg is not None else None,
         "inputs": {role: _sha256(p) for role, p in inputs.items() if p},
     }
-    text = json.dumps(manifest, indent=2) + "\n"
-    _atomic_writer(
-        os.path.join(args.out_dir, "manifest.json"), lambda tmp: Path(tmp).write_text(text, encoding="utf-8")
-    )
+    return json.dumps(manifest, indent=2) + "\n"
+
+
+def _text(text: str):
+    """A writer of ``text`` to a given path."""
+    return lambda path: Path(path).write_text(text, encoding="utf-8")
+
+
+def _publish(args, cfg: CodecConfig | None, inputs: dict[str, str], outputs: dict) -> None:
+    """Write ``outputs`` (file name -> writer of a given path) and then the
+    manifest into args.out_dir as one step.
+
+    Each file is first written to a temp name in the out-dir with the mode
+    a plain open() would give it, 0o666 less the umask (mkstemp makes
+    0o600).  Only when all are written are they renamed into place,
+    manifest last; on any failure every temp file is removed.
+    """
+    os.makedirs(args.out_dir, exist_ok=True)
+    umask = os.umask(0)
+    os.umask(umask)
+    # staged last, so it hashes the inputs after every output is written
+    # and before any rename could replace one
+    outputs = {**outputs, "manifest.json": lambda path: _text(write_manifest(args, cfg, inputs))(path)}
+    staged = []
+    try:
+        for name, write in outputs.items():
+            fd, tmp = tempfile.mkstemp(dir=args.out_dir, prefix=".w2s-", suffix=".tmp")
+            os.close(fd)
+            staged.append((tmp, os.path.join(args.out_dir, name)))
+            write(tmp)
+            os.chmod(tmp, 0o666 & ~umask)
+        for tmp, path in staged:
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp, _ in staged:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+        raise
 
 
 def build_config(args) -> CodecConfig:
@@ -142,9 +158,8 @@ def _load_input_set(args):
 def cmd_quantize(args) -> int:
     es, missing = _load_input_set(args)
     ternary = quantize_all(es)
-    os.makedirs(args.out_dir, exist_ok=True)
-    _atomic_writer(os.path.join(args.out_dir, "ternary.txt"), lambda tmp: save_ternary(ternary, tmp))
-    write_manifest(args, None, {"embeddings": args.embeddings, "wordlist": args.wordlist})
+    _publish(args, None, {"embeddings": args.embeddings, "wordlist": args.wordlist},
+             {"ternary.txt": lambda path: save_ternary(ternary, path)})
     print(f"quantized {len(ternary)} words (dim {ternary.dim}), {missing} wordlist misses")
     return EXIT_OK
 
@@ -161,42 +176,34 @@ def cmd_encode(args) -> int:
     else:
         es, missing = _load_input_set(args)
         ternary = quantize_all(es)
-    # a plot that cannot be drawn fails the run before anything is written
-    plt = _pyplot_for(args.plot_word, ternary.words) if args.plot_word else None
+    if args.plot_word and args.plot_word not in ternary.words:
+        raise EmptyResultError(f"--plot-word {args.plot_word!r} not in vocabulary")
     rasters = [
         generate_raster(rates_from_ternary(row, cfg), cfg, stream_id=i)
         for i, row in enumerate(ternary.values)
     ]
 
-    os.makedirs(args.out_dir, exist_ok=True)
-    out = os.path.join(args.out_dir, "rasters.jsonl")
-    _atomic_writer(out, lambda tmp: write_raster_jsonl(tmp, ternary.words, rasters))
+    outputs = {"rasters.jsonl": lambda path: write_raster_jsonl(path, ternary.words, rasters)}
     if args.counts:
-        counts = os.path.join(args.out_dir, "counts.csv")
-        _atomic_writer(counts, lambda tmp: write_counts_csv(tmp, ternary.words, rasters))
-    if plt is not None:
-        _plot_raster(plt, args.out_dir, args.plot_word, rasters[ternary.words.index(args.plot_word)])
-    write_manifest(
-        args, cfg, {"embeddings": args.embeddings, "ternary": args.ternary, "wordlist": args.wordlist}
-    )
-    print(f"encoded {len(ternary)} words, {missing} wordlist misses -> {out}")
+        outputs["counts.csv"] = lambda path: write_counts_csv(path, ternary.words, rasters)
+    if args.plot_word:
+        raster = rasters[ternary.words.index(args.plot_word)]
+        outputs[f"raster_{args.plot_word}.svg"] = lambda path: _plot_raster(path, args.plot_word, raster)
+    _publish(args, cfg, {"embeddings": args.embeddings, "ternary": args.ternary, "wordlist": args.wordlist},
+             outputs)
+    print(f"encoded {len(ternary)} words, {missing} wordlist misses -> "
+          f"{os.path.join(args.out_dir, 'rasters.jsonl')}")
     return EXIT_OK
 
 
-def _pyplot_for(word: str, words: tuple[str, ...]):
-    """matplotlib's pyplot set to SVG, once ``word`` is known to be in ``words``."""
-    if word not in words:
-        raise EmptyResultError(f"--plot-word {word!r} not in vocabulary")
+def _plot_raster(path: str, word: str, raster) -> None:
+    """Draw one word's raster to ``path`` as SVG."""
     try:
         import matplotlib
         matplotlib.use("svg")
         import matplotlib.pyplot as plt
     except ImportError as exc:
         raise CorpusFormatError("matplotlib is required for --plot-word") from exc
-    return plt
-
-
-def _plot_raster(plt, out_dir: str, word: str, raster) -> None:
     fig, ax = plt.subplots(figsize=(8, 4))
     # one train per dimension, in ms; a dimension without spikes keeps its row
     trains = np.split(raster.times * 1000.0, np.cumsum(raster.counts()[:-1]))
@@ -204,8 +211,7 @@ def _plot_raster(plt, out_dir: str, word: str, raster) -> None:
     ax.set_xlabel("time (ms)")
     ax.set_ylabel("dimension")
     ax.set_title(f"spike raster: {word}")
-    path = os.path.join(out_dir, f"raster_{word}.svg")
-    _atomic_writer(path, lambda tmp: fig.savefig(tmp, format="svg"))
+    fig.savefig(path, format="svg")
     plt.close(fig)
 
 
@@ -216,11 +222,8 @@ def cmd_decode(args) -> int:
         raise EmptyResultError(f"{args.rasters}: no raster records")
     decoded = np.stack([decode(r, cfg).values for r in rasters])
     ternary = TernarySet(tuple(words), decoded)
-    os.makedirs(args.out_dir, exist_ok=True)
-    out = os.path.join(args.out_dir, "decoded.txt")
-    _atomic_writer(out, lambda tmp: save_ternary(ternary, tmp))
-    write_manifest(args, cfg, {"rasters": args.rasters})
-    print(f"decoded {len(words)} words -> {out}")
+    _publish(args, cfg, {"rasters": args.rasters}, {"decoded.txt": lambda path: save_ternary(ternary, path)})
+    print(f"decoded {len(words)} words -> {os.path.join(args.out_dir, 'decoded.txt')}")
     return EXIT_OK
 
 
@@ -261,7 +264,6 @@ def cmd_analyze(args) -> int:
     print("\n".join(lines))
 
     if args.out_dir:
-        os.makedirs(args.out_dir, exist_ok=True)
         payload = dataclasses.asdict(analysis)
         payload.update(
             rate_spread=spread,
@@ -269,12 +271,7 @@ def cmd_analyze(args) -> int:
             suggested_threshold_error=best_err,
             total_error=analysis.total_error,
         )
-        text = json.dumps(payload, indent=2) + "\n"
-        _atomic_writer(
-            os.path.join(args.out_dir, "analysis.json"),
-            lambda tmp: Path(tmp).write_text(text, encoding="utf-8"),
-        )
-        write_manifest(args, cfg, {})
+        _publish(args, cfg, {}, {"analysis.json": _text(json.dumps(payload, indent=2) + "\n")})
     return EXIT_OK
 
 
@@ -285,21 +282,12 @@ def cmd_eval(args) -> int:
     quads = load_analogies(args.analogies, lowercase=args.lowercase) if args.analogies else None
     report = full_report(es, cfg, pairs=pairs, quads=quads)
 
-    os.makedirs(args.out_dir, exist_ok=True)
-    for name, text in (("report.json", report.to_json()), ("report.txt", report.to_table())):
-        _atomic_writer(
-            os.path.join(args.out_dir, name),
-            lambda tmp: Path(tmp).write_text(text + "\n", encoding="utf-8"),
-        )
-    write_manifest(
+    _publish(
         args,
         cfg,
-        {
-            "embeddings": args.embeddings,
-            "wordlist": args.wordlist,
-            "simlex": args.simlex,
-            "analogies": args.analogies,
-        },
+        {"embeddings": args.embeddings, "wordlist": args.wordlist, "simlex": args.simlex,
+         "analogies": args.analogies},
+        {"report.json": _text(report.to_json() + "\n"), "report.txt": _text(report.to_table() + "\n")},
     )
     print(report.to_table())
     print(f"evaluated {len(es)} words, {missing} wordlist misses")
@@ -397,7 +385,7 @@ def main(argv: list[str] | None = None) -> int:
     except EmptyResultError as exc:
         print(f"empty result: {exc}", file=sys.stderr)
         return EXIT_EMPTY
-    except (CorpusFormatError, FileNotFoundError, IsADirectoryError, ValueError) as exc:
+    except (CorpusFormatError, OSError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

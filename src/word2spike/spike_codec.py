@@ -23,7 +23,7 @@ import itertools
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -39,23 +39,30 @@ _MODES = ("stochastic", "lossless")
 
 def _check_setting(key: str, value) -> None:
     """Raise ConfigError if one setting breaks a rule that needs no other key."""
-    if key == "window_s" and not (value > 0 and math.isfinite(value)):
-        raise ConfigError(f"window_s must be positive, got {value}")
-    if key == "mode" and value not in _MODES:
-        raise ConfigError(f"mode must be one of {_MODES}, got {value!r}")
-    if key == "seed":
+    if key == "mode":
+        if value not in _MODES:
+            raise ConfigError(f"mode must be one of {_MODES}, got {value!r}")
+    elif key == "seed":
         # a float or a bool would pass int(); numpy integers are Integral
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ConfigError(f"seed must be an integer, got {value!r}")
         if not 0 <= value < 2**64:
             raise ConfigError("seed must be a 64-bit unsigned integer")
+    else:  # the window and the three rates
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ConfigError(f"{key} must be a real number, got {value!r}")
+        if not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value}")
+        if value <= 0:
+            raise ConfigError(f"{key} must be positive, got {value}")
 
 
 @dataclass(frozen=True)
 class CodecConfig:
     """Window length, rate assignments, decode threshold, mode and seed.
 
-    The zero level always fires at 0 Hz; the decode threshold must lie
+    The window and the three rates are finite positive real numbers.  The
+    zero level always fires at 0 Hz; the decode threshold must lie
     strictly between the two nonzero rates.  In lossless mode the spike
     counts of the two levels must also decode exactly:
     1 <= round(lambda_minus) < count_threshold <= round(lambda_plus).
@@ -69,8 +76,8 @@ class CodecConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for key in ("window_s", "mode", "seed"):
-            _check_setting(key, getattr(self, key))
+        for field in fields(self):
+            _check_setting(field.name, getattr(self, field.name))
         if not 0 < self.rate_minus_hz < self.threshold_hz < self.rate_plus_hz:
             raise ConfigError(
                 "rates must satisfy 0 < rate_minus < threshold < rate_plus, got "
@@ -115,10 +122,7 @@ PRESETS: dict[str, CodecConfig] = {
 
 
 # config file key -> the type its value parses as
-_CONFIG_TYPES = {
-    "window_s": float, "rate_plus_hz": float, "rate_minus_hz": float,
-    "threshold_hz": float, "mode": str, "seed": int,
-}
+_CONFIG_TYPES = {field.name: type(field.default) for field in fields(CodecConfig)}
 
 
 def _read_config(path: str) -> dict:

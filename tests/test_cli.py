@@ -1,4 +1,5 @@
 import argparse
+import errno
 import json
 import os
 import shlex
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import word2spike
+from word2spike import cli
 from word2spike.cli import build_parser, main
 from word2spike.corpus_io import load_embeddings
 from word2spike.quantizer import quantize_all
@@ -312,11 +314,23 @@ class TestAnalyzeCmd:
         ("mode = quantum", "mode must be one of ('stochastic', 'lossless'), got 'quantum'"),
         ("seed = -1", "seed must be a 64-bit unsigned integer"),
         ("window_s = -0.2", "window_s must be positive, got -0.2"),
-    ], ids=["mode", "seed", "window"])
+        ("rate_plus_hz = inf", "rate_plus_hz must be finite, got inf"),
+        ("threshold_hz = nan", "threshold_hz must be finite, got nan"),
+        ("rate_minus_hz = 0", "rate_minus_hz must be positive, got 0.0"),
+    ], ids=["mode", "seed", "window", "infinite-rate", "nan-threshold", "zero-rate"])
     def test_config_file_bad_setting_names_line(self, tmp_path, capsys, line, message):
         cfg = write_lines(tmp_path / "codec.cfg", ["# codec", line])
         assert main(["analyze", "--config", cfg]) == 4
         assert f"config error: {cfg}:2: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["analyze", "--rate-plus", "inf", "--threshold", "80"],
+                                      ["encode", "--rate-plus", "inf", "--seed", "1"]],
+                             ids=["analyze", "encode"])
+    def test_infinite_rate_flag_exit_4(self, tmp_path, emb_file, capsys, argv):
+        if argv[0] == "encode":
+            argv = [*argv, "--embeddings", emb_file, "--out-dir", str(tmp_path / "o")]
+        assert main(argv) == 4
+        assert "config error: rate_plus_hz must be finite, got inf" in capsys.readouterr().err
 
     def test_config_file_mode_and_seed_still_load(self, tmp_path):
         cfg = write_lines(tmp_path / "codec.cfg", ["mode = stochastic", "seed = 3"])
@@ -429,6 +443,57 @@ def test_output_files_of_each_command(tmp_path, emb_file):
     for out, (argv, files) in runs.items():
         assert main([*argv, "--out-dir", str(out)]) == 0
         assert {p.name for p in out.iterdir()} == files | {"manifest.json"}, argv[0]
+
+
+EMB_OTHER = [
+    "cat -1.0 0.4 0.2 2.0",
+    "dog 0.3 1.5 -0.9 0.0",
+    "fox 2.4 -0.9 0.0 -0.2",
+    "owl -0.1 -1.1 0.6 1.9",
+]
+
+
+@pytest.mark.parametrize("template", [
+    ["quantize", "--embeddings", "{emb}"],
+    ["encode", "--embeddings", "{emb}", "--counts", "--seed", "1"],
+    ["decode", "--rasters", "{rasters}"],
+    ["eval", "--embeddings", "{emb}", "--mode", "lossless"],
+], ids=lambda template: template[0])
+def test_failed_run_changes_no_file(tmp_path, emb_file, monkeypatch, template):
+    # a second run into the same out-dir, on other inputs, that fails
+    # before its renames leaves the first run's files, all of them, as they were
+    runs = []
+    for name, emb in (("first", emb_file), ("second", write_lines(tmp_path / "other.txt", EMB_OTHER))):
+        rasters = tmp_path / name / "rasters.jsonl"
+        assert main(["encode", "--embeddings", emb, "--mode", "lossless", "--out-dir", str(rasters.parent)]) == 0
+        runs.append([arg.format(emb=emb, rasters=rasters) for arg in template] + ["--out-dir", str(tmp_path / "out")])
+    first_run, second_run = runs
+
+    def files():
+        return {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
+
+    assert main(first_run) == 0
+    first = files()
+
+    def no_space(path):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_sha256", no_space)
+        assert main(second_run) == 2
+    assert files() == first  # no .w2s-*.tmp left either
+    # the second run does change an output when it succeeds
+    assert main(second_run) == 0
+    assert {name for name, data in files().items() if first.get(name) != data} - {"manifest.json"}
+
+
+def test_unwritable_out_dir_exit_2(tmp_path, emb_file, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n", encoding="utf-8")
+    assert main(["quantize", "--embeddings", emb_file, "--out-dir", str(blocker / "sub")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["emb.txt", "file"]
 
 
 def test_manifest_records_the_parsed_command(tmp_path, emb_file):

@@ -69,6 +69,27 @@ class TestCodecConfig:
         with pytest.raises(ConfigError):
             CodecConfig(mode="quantum")
 
+    @pytest.mark.parametrize("settings, message", [
+        ({"rate_plus_hz": math.inf, "threshold_hz": 80.0}, "rate_plus_hz must be finite, got inf"),
+        ({"threshold_hz": math.nan}, "threshold_hz must be finite, got nan"),
+        ({"window_s": -math.inf}, "window_s must be finite, got -inf"),
+        ({"window_s": -0.2}, "window_s must be positive, got -0.2"),
+        ({"rate_minus_hz": 0}, "rate_minus_hz must be positive, got 0"),
+        ({"window_s": True}, "window_s must be a real number, got True"),
+        ({"rate_minus_hz": True, "threshold_hz": 1.5, "rate_plus_hz": 2},
+         "rate_minus_hz must be a real number, got True"),
+        ({"window_s": "0.2"}, "window_s must be a real number, got '0.2'"),
+        ({"rate_plus_hz": None}, "rate_plus_hz must be a real number, got None"),
+    ], ids=["inf-rate", "nan-threshold", "minus-inf-window", "negative-window", "zero-rate",
+            "bool-window", "bool-rate", "string-window", "none-rate"])
+    def test_numeric_setting_rejected(self, settings, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            CodecConfig(**settings)
+
+    @pytest.mark.parametrize("value", [1, np.float64(0.2), np.float32(0.5), np.int64(2)])
+    def test_numeric_window_types_accepted(self, value):
+        assert CodecConfig(window_s=value, mode="stochastic").window_s == value
+
     @pytest.mark.parametrize("settings", [
         # 2 Hz x 0.2 s rounds to 0 spikes, so a -1 would decode as 0
         {"rate_minus_hz": 2.0, "threshold_hz": 50.0},
