@@ -10,7 +10,8 @@ Exit codes: 0 success, 2 input error (an unwritable out-dir included),
 3 empty result, 4 config error.  A run publishes its files in one step:
 every output and then the manifest is written to a temp name in the
 out-dir, and only then are they renamed into place, manifest last.  So a
-run that fails before its renames changes no file.  Outputs get the
+run that fails before its renames changes no file, and a target that is
+a directory fails the run before the first rename.  Outputs get the
 umask's permissions.
 """
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import hashlib
 import json
 import os
@@ -97,8 +99,9 @@ def _publish(args, cfg: CodecConfig | None, inputs: dict[str, str], outputs: dic
 
     Each file is first written to a temp name in the out-dir with the mode
     a plain open() would give it, 0o666 less the umask (mkstemp makes
-    0o600).  Only when all are written are they renamed into place,
-    manifest last; on any failure every temp file is removed.
+    0o600).  Only when all are written, and no target is a directory,
+    are they renamed into place, manifest last; on any failure every temp
+    file is removed.
     """
     os.makedirs(args.out_dir, exist_ok=True)
     umask = os.umask(0)
@@ -114,6 +117,11 @@ def _publish(args, cfg: CodecConfig | None, inputs: dict[str, str], outputs: dic
             staged.append((tmp, os.path.join(args.out_dir, name)))
             write(tmp)
             os.chmod(tmp, 0o666 & ~umask)
+        # os.replace cannot put a file over a directory: fail before the
+        # first rename rather than after some
+        for _, path in staged:
+            if os.path.isdir(path) and not os.path.islink(path):
+                raise IsADirectoryError(errno.EISDIR, "output name is a directory", path)
         for tmp, path in staged:
             os.replace(tmp, path)
     except BaseException:

@@ -36,6 +36,12 @@ class ConfigError(ValueError):
 
 _MODES = ("stochastic", "lossless")
 
+# the largest mean spike count of a level, rate_plus_hz * window_s: the
+# exact Poisson sums take about 9 * sqrt(mean) terms near the mean and
+# lose accuracy as it grows (at 1e12 the pmf is 0.4% off scipy's), and
+# rng.poisson refuses a mean above about 9.2e18
+MAX_MEAN_COUNT = 1e9
+
 
 def _check_setting(key: str, value) -> None:
     """Raise ConfigError if one setting breaks a rule that needs no other key."""
@@ -63,9 +69,10 @@ class CodecConfig:
 
     The window and the three rates are finite positive real numbers.  The
     zero level always fires at 0 Hz; the decode threshold must lie
-    strictly between the two nonzero rates.  In lossless mode the spike
-    counts of the two levels must also decode exactly:
-    1 <= round(lambda_minus) < count_threshold <= round(lambda_plus).
+    strictly between the two nonzero rates, and the mean count of the
+    larger, rate_plus_hz * window_s, is at most MAX_MEAN_COUNT.  In
+    lossless mode the spike counts of the two levels must also decode
+    exactly: 1 <= round(lambda_minus) < count_threshold <= round(lambda_plus).
     """
 
     window_s: float = 0.2
@@ -82,6 +89,11 @@ class CodecConfig:
             raise ConfigError(
                 "rates must satisfy 0 < rate_minus < threshold < rate_plus, got "
                 f"{self.rate_minus_hz}/{self.threshold_hz}/{self.rate_plus_hz} Hz"
+            )
+        if not self.lambda_plus <= MAX_MEAN_COUNT:
+            raise ConfigError(
+                f"rate_plus_hz * window_s is the mean spike count of a +1 and must be at most "
+                f"{MAX_MEAN_COUNT:g}, got {self.lambda_plus}"
             )
         if self.mode == "lossless":
             n_minus, n_plus = _lossless_counts(
@@ -572,49 +584,195 @@ def _format_records(block) -> bytes:
 def read_raster_jsonl(path: str) -> tuple[list[str], list[SpikeRaster]]:
     """Read a raster export back; every record must have a distinct word
     that is one whitespace-free token, and the same nonzero number of
-    dimensions."""
+    dimensions.
+
+    Lines are read in blocks.  A block whose trains are all in the form
+    ``write_raster_jsonl`` writes is parsed with array operations, and
+    any other block goes line by line through ``json``; both give the
+    same words, windows, counts and times, and both run the same checks.
+    """
     words, rasters = [], []
     line_of: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                word = record["word"]
-                # decoded codes are written as "word v1 ... vn" lines
-                if not isinstance(word, str) or word.split() != [word]:
-                    raise ValueError(f"word must be one token without whitespace, got {word!r}")
-                window_ms = record["window_ms"]
-                # exact types again: float() would take "200" and true
-                if type(window_ms) not in (int, float) or not 0 < window_ms < math.inf:
-                    raise ValueError(f"window_ms must be a positive finite number, got {window_ms!r}")
-                window_s = float(window_ms) / 1000.0
-                trains = record["trains"]
-                if not isinstance(trains, list) or not all(isinstance(t, list) for t in trains):
-                    raise ValueError("trains must be a list of lists of spike times")
-                if not trains:
-                    raise ValueError("trains must hold at least one dimension")
-                # exact types: a JSON true is a bool, and fromiter would read
-                # both true and "1.5" as numbers
-                if not set(map(type, itertools.chain.from_iterable(trains))) <= {int, float}:
-                    raise ValueError("spike times must be JSON numbers")
-                counts = np.fromiter(map(len, trains), dtype=np.int64, count=len(trains))
-                times = np.fromiter(
-                    itertools.chain.from_iterable(trains), dtype=np.float64, count=int(counts.sum())
-                ) / 1000.0
-                if not np.all(np.isfinite(times)):
-                    raise ValueError("spike times must be finite numbers")
-                if word in line_of:
-                    raise ValueError(f"word {word!r} repeats line {line_of[word]}")
-                if rasters and len(counts) != len(rasters[0]):
-                    raise ValueError(f"{len(counts)} dimensions, the first record has {len(rasters[0])}")
-            except (KeyError, ValueError, TypeError, OverflowError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad raster record: {exc}") from exc
-            line_of[word] = lineno
-            words.append(word)
-            rasters.append(SpikeRaster(window_s, times, counts))
+        lines = ((lineno, line) for lineno, line in enumerate(fh, start=1) if not line.isspace())
+        for block in _line_blocks(lines):
+            parsed = _parse_block([line for _, line in block]) or [None] * len(block)
+            for (lineno, line), record in zip(block, parsed):
+                try:
+                    if record is None:
+                        word, window_s, counts, times = _parse_record(line)
+                    else:
+                        head, counts, times = record
+                        word, window_s = _record_head(head)
+                    if word in line_of:
+                        raise ValueError(f"word {word!r} repeats line {line_of[word]}")
+                    if rasters and len(counts) != len(rasters[0]):
+                        raise ValueError(f"{len(counts)} dimensions, the first record has {len(rasters[0])}")
+                except (KeyError, ValueError, TypeError, OverflowError) as exc:
+                    raise ValueError(f"{path}:{lineno}: bad raster record: {exc}") from exc
+                line_of[word] = lineno
+                words.append(word)
+                rasters.append(SpikeRaster(window_s, times, counts))
     return words, rasters
+
+
+def _line_blocks(lines):
+    """Lists of consecutive lines, each list about _BLOCK_SPIKES
+    characters long, so that the parsing arrays of a block stay small:
+    a time and its comma take at least 4 characters."""
+    block, size = [], 0
+    for item in lines:
+        block.append(item)
+        size += len(item[1])
+        if size >= _BLOCK_SPIKES:
+            yield block
+            block, size = [], 0
+    if block:
+        yield block
+
+
+def _record_head(record) -> tuple[str, float]:
+    """A record's word and its window in seconds, checked."""
+    word = record["word"]
+    # decoded codes are written as "word v1 ... vn" lines
+    if not isinstance(word, str) or word.split() != [word]:
+        raise ValueError(f"word must be one token without whitespace, got {word!r}")
+    window_ms = record["window_ms"]
+    # exact types again: float() would take "200" and true
+    if type(window_ms) not in (int, float) or not 0 < window_ms < math.inf:
+        raise ValueError(f"window_ms must be a positive finite number, got {window_ms!r}")
+    return word, float(window_ms) / 1000.0
+
+
+def _parse_record(line: str) -> tuple[str, float, np.ndarray, np.ndarray]:
+    """The word, window (s), counts and times (s) of one record, read
+    through ``json``: any JSON of the record's shape."""
+    record = json.loads(line)
+    word, window_s = _record_head(record)
+    trains = record["trains"]
+    if not isinstance(trains, list) or not all(isinstance(t, list) for t in trains):
+        raise ValueError("trains must be a list of lists of spike times")
+    if not trains:
+        raise ValueError("trains must hold at least one dimension")
+    # exact types: a JSON true is a bool, and fromiter would read both
+    # true and "1.5" as numbers
+    if not set(map(type, itertools.chain.from_iterable(trains))) <= {int, float}:
+        raise ValueError("spike times must be JSON numbers")
+    counts = np.fromiter(map(len, trains), dtype=np.int64, count=len(trains))
+    times = np.fromiter(
+        itertools.chain.from_iterable(trains), dtype=np.float64, count=int(counts.sum())
+    ) / 1000.0
+    if not np.all(np.isfinite(times)):
+        raise ValueError("spike times must be finite numbers")
+    return word, window_s, counts, times
+
+
+_TRAINS_KEY = ',"trains":['
+
+
+def _parse_block(lines: list[str]) -> list | None:
+    """(head, counts, times) for each line when every line ends in trains
+    of the form ``write_raster_jsonl`` writes, else None; a head is the
+    dict ``json`` reads from the text before ``"trains"``.
+
+    A line must be ``<head>,"trains":[[..],..,[..]]}`` with ``<head>}``
+    valid JSON, which ends in "}" and so is an object.  Then ``json`` reads
+    the line to that object with these trains set last, over any earlier
+    "trains".
+    """
+    heads, segments = [], []
+    for line in lines:
+        cut = line.find(_TRAINS_KEY)
+        start, end = cut + len(_TRAINS_KEY), len(line) - line.endswith("\n")
+        if cut < 0 or not (line.startswith("[", start) and line.endswith("]]}", start, end)):
+            return None
+        try:
+            head = json.loads(line[:cut] + "}")
+        except (ValueError, RecursionError):
+            return None
+        heads.append(head)
+        segments.append(line[start:end - 2])
+    # joined by commas, the lines' trains read as one list of trains; each
+    # line starts with "[" and ends with "]", so it holds whole trains
+    parsed = _parse_trains(",".join(segments).encode())
+    if parsed is None:
+        return None
+    opens, counts, times = parsed
+    line_starts = np.cumsum([0] + [len(segment) + 1 for segment in segments])
+    train_bounds = np.searchsorted(opens, line_starts)
+    spike_bounds = np.concatenate(([0], np.cumsum(counts)))[train_bounds].tolist()
+    train_bounds = train_bounds.tolist()
+    return [
+        (head, counts[train_bounds[i]:train_bounds[i + 1]], times[spike_bounds[i]:spike_bounds[i + 1]])
+        for i, head in enumerate(heads)
+    ]
+
+
+def _parse_trains(text: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The offsets of the trains, their spike counts and the times (s) of
+    ``text``, which starts with "[" and ends with "]", when it is exactly
+    ``[T,..,T],..,[T,..,T]``, a train possibly empty and each T matching
+    ``(0|[1-9][0-9]{0,9})\\.[0-9]{1,3}``; else None.  The checks prove
+    that form:
+
+    - "[" and "]", the only bytes above "9", alternate from the first byte
+      to the last, one byte apart between trains.
+    - Each dot has 1 to 10 integer digits with no leading zero, and 1 to 3
+      decimals followed by "," or "]".  A number that overlapped the next
+      would hold that delimiter, so the numbers are disjoint.
+    - The numbers and the delimiters add up to every byte, so no other
+      byte is there: a train holds numbers and commas only, and the byte
+      between two trains is a comma.
+    - In a train, c commas leave c + 1 slots and a slot holds at most one
+      number, so a train of s > 0 numbers has at least s - 1 commas and
+      one of none at least 0.  The commas in trains add up to exactly
+      these least values only if every train is ``[]`` or ``[T,..,T]``.
+
+    A time I.FFF reads as (I * 1000 + FFF) / 1000.0 ms: both are exact
+    below 2**53 and division rounds correctly, so this is the float
+    ``json`` reads, which is then divided by 1000.0 as on ``json``'s path.
+    """
+    # four zero bytes let the gathers after a dot run past the end
+    buf = np.frombuffer(text + bytes(4), np.uint8)
+    brackets = np.flatnonzero(buf > ord("9"))
+    opens, closes = brackets[0::2], brackets[1::2]
+    if (np.any(buf[opens] != ord("[")) or np.any(buf[closes] != ord("]"))
+            or np.any(closes[:-1] + 2 != opens[1:])):
+        return None
+    dots = np.flatnonzero(buf == ord("."))
+    zero = np.uint8(ord("0"))
+    # digit values: any other byte reads as 10 or more
+    d1, d2, d3 = (buf[dots + k] - zero for k in (1, 2, 3))
+    two = d2 < 10
+    three = two & (d3 < 10)
+    ends = dots + 2 + two + three
+    after = buf[ends]
+    if not (np.all(d1 < 10) and np.all((after == ord(",")) | (after == ord("]")))):
+        return None
+    ticks = 100 * d1.astype(np.int64) + 10 * (d2 * two) + d3 * three
+    # integer digits, read leftwards from each dot until a non-digit; a
+    # run that has ended stays ended, whatever byte its index reaches
+    n_int = np.zeros(len(dots), np.uint8)
+    run = np.ones(len(dots), bool)
+    at = dots.copy()
+    for power in range(3, 13):
+        at -= 1
+        digit = buf[at] - zero
+        run &= digit < 10
+        if not run.any():
+            break
+        ticks += np.int64(10**power) * (digit * run)
+        n_int += run
+    if not np.all((n_int > 0) & ((n_int == 1) | (buf[dots - n_int] != zero))):
+        return None
+    counts = np.diff(np.searchsorted(dots, closes), prepend=0)
+    n_commas = np.count_nonzero(buf == ord(","))
+    if (n_commas + len(brackets) + int(n_int.sum(dtype=np.int64) + (ends - dots).sum()) != len(text)
+            or n_commas - (len(opens) - 1) != len(dots) - np.count_nonzero(counts)):
+        return None
+    times = ticks / 1000.0
+    times /= 1000.0
+    return opens, counts, times
 
 
 def write_counts_csv(path: str, words, rasters) -> None:

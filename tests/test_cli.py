@@ -332,6 +332,22 @@ class TestAnalyzeCmd:
         assert main(argv) == 4
         assert "config error: rate_plus_hz must be finite, got inf" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, mean", [(["analyze", "--window-ms", "1e308"], "1e+307"),
+                                            (["encode", "--rate-plus", "1e300", "--seed", "1"], "2e+299")],
+                             ids=["analyze-window", "encode-rate"])
+    def test_huge_mean_count_exit_4(self, tmp_path, emb_file, capsys, argv, mean):
+        if argv[0] == "encode":
+            argv = [*argv, "--embeddings", emb_file, "--out-dir", str(tmp_path / "o")]
+        assert main(argv) == 4
+        assert (f"config error: rate_plus_hz * window_s is the mean spike count of a +1 and must be "
+                f"at most 1e+09, got {mean}") in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_mean_count_at_the_bound_runs(self, capsys):
+        # 100 Hz over 1e7 s is a mean of exactly 1e9 spikes
+        assert main(["analyze", "--window-ms", "1e10"]) == 0
+        assert "suggested threshold" in capsys.readouterr().out
+
     def test_config_file_mode_and_seed_still_load(self, tmp_path):
         cfg = write_lines(tmp_path / "codec.cfg", ["mode = stochastic", "seed = 3"])
         assert main(["analyze", "--config", cfg]) == 0
@@ -453,27 +469,40 @@ EMB_OTHER = [
 ]
 
 
-@pytest.mark.parametrize("template", [
+# one run of each command that writes into an out-dir, on a given corpus
+# and rasters
+RUN_TEMPLATES = [
     ["quantize", "--embeddings", "{emb}"],
     ["encode", "--embeddings", "{emb}", "--counts", "--seed", "1"],
     ["decode", "--rasters", "{rasters}"],
     ["eval", "--embeddings", "{emb}", "--mode", "lossless"],
-], ids=lambda template: template[0])
-def test_failed_run_changes_no_file(tmp_path, emb_file, monkeypatch, template):
-    # a second run into the same out-dir, on other inputs, that fails
-    # before its renames leaves the first run's files, all of them, as they were
+]
+
+
+def two_runs(tmp_path, emb_file, template):
+    """The argv of a first and a second run of ``template`` into the same
+    out-dir, tmp_path / "out", on other inputs."""
     runs = []
     for name, emb in (("first", emb_file), ("second", write_lines(tmp_path / "other.txt", EMB_OTHER))):
         rasters = tmp_path / name / "rasters.jsonl"
         assert main(["encode", "--embeddings", emb, "--mode", "lossless", "--out-dir", str(rasters.parent)]) == 0
         runs.append([arg.format(emb=emb, rasters=rasters) for arg in template] + ["--out-dir", str(tmp_path / "out")])
-    first_run, second_run = runs
+    return runs
 
-    def files():
-        return {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
 
+def out_files(out):
+    """Every entry of ``out``: a file's bytes, a directory's listing."""
+    return {p.name: p.read_bytes() if p.is_file() else sorted(os.listdir(p)) for p in out.iterdir()}
+
+
+@pytest.mark.parametrize("template", RUN_TEMPLATES, ids=lambda template: template[0])
+def test_failed_run_changes_no_file(tmp_path, emb_file, monkeypatch, template):
+    # a second run into the same out-dir, on other inputs, that fails
+    # before its renames leaves the first run's files, all of them, as they were
+    first_run, second_run = two_runs(tmp_path, emb_file, template)
+    out = tmp_path / "out"
     assert main(first_run) == 0
-    first = files()
+    first = out_files(out)
 
     def no_space(path):
         raise OSError(errno.ENOSPC, "No space left on device")
@@ -481,10 +510,34 @@ def test_failed_run_changes_no_file(tmp_path, emb_file, monkeypatch, template):
     with monkeypatch.context() as m:
         m.setattr(cli, "_sha256", no_space)
         assert main(second_run) == 2
-    assert files() == first  # no .w2s-*.tmp left either
+    assert out_files(out) == first  # no .w2s-*.tmp left either
     # the second run does change an output when it succeeds
     assert main(second_run) == 0
-    assert {name for name, data in files().items() if first.get(name) != data} - {"manifest.json"}
+    assert {name for name, data in out_files(out).items() if first.get(name) != data} - {"manifest.json"}
+
+
+@pytest.mark.parametrize("template", RUN_TEMPLATES, ids=lambda template: template[0])
+def test_directory_at_the_manifest_changes_no_file(tmp_path, emb_file, capsys, template):
+    # the manifest is renamed last, so a directory in its place must fail
+    # the run before any output is replaced
+    first_run, second_run = two_runs(tmp_path, emb_file, template)
+    out = tmp_path / "out"
+    assert main(first_run) == 0
+    (out / "manifest.json").unlink()
+    (out / "manifest.json" / "kept").mkdir(parents=True)
+    before = out_files(out)
+    assert main(second_run) == 2
+    assert f"input error: [Errno {errno.EISDIR}] output name is a directory" in capsys.readouterr().err
+    assert out_files(out) == before  # no .w2s-*.tmp left either
+
+
+def test_directory_at_counts_csv_changes_no_file(tmp_path, emb_file):
+    out = tmp_path / "o"
+    assert main(["encode", "--embeddings", emb_file, "--seed", "1", "--out-dir", str(out)]) == 0
+    (out / "counts.csv").mkdir()
+    before = out_files(out)
+    assert main(["encode", "--embeddings", emb_file, "--seed", "2", "--counts", "--out-dir", str(out)]) == 2
+    assert out_files(out) == before
 
 
 def test_unwritable_out_dir_exit_2(tmp_path, emb_file, capsys):

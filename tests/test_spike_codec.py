@@ -115,6 +115,12 @@ class TestCodecConfig:
         cfg = CodecConfig(threshold_hz=75.0)
         assert cfg.count_threshold == 15
 
+    def test_mean_count_bound(self):
+        # 100 Hz over 1e7 s is a mean of exactly MAX_MEAN_COUNT spikes
+        assert CodecConfig(window_s=1e7).lambda_plus == spike_codec.MAX_MEAN_COUNT == 1e9
+        with pytest.raises(ConfigError, match=r"mean spike count of a \+1 and must be at most 1e\+09"):
+            CodecConfig(window_s=math.nextafter(1e7, math.inf))
+
     def test_config_file_roundtrip(self, tmp_path):
         cfg = CodecConfig(window_s=0.4, rate_plus_hz=200, rate_minus_hz=25,
                           threshold_hz=85, mode="lossless", seed=99)
@@ -228,6 +234,27 @@ class TestGenerateRaster:
         assert abs(train.size - 10_000) < 500
         _, pvalue = st.kstest(np.diff(train), "expon", args=(0.0, 1.0 / rate))
         assert pvalue > 0.001
+
+    def test_stochastic_times_poisson_in_every_dimension(self, tmp_path):
+        # in each dimension of rate r, a Poisson process on [0, T) places
+        # its spikes as iid Uniform[0, T) times, Exponential(r) apart.  The
+        # level, 1e-3 over all 32 KS tests (Bonferroni), was fixed before
+        # the test first ran; a 100 s window gives 5,000 to 10,000 spikes a
+        # dimension.  The raster read back from JSONL must pass too.
+        cfg = CodecConfig(window_s=100.0, seed=35)
+        codes = np.array([1, -1] * 4 + [0, 0])
+        raster = generate_raster(rates_from_ternary(codes, cfg), cfg, 0)
+        path = str(tmp_path / "r.jsonl")
+        write_raster_jsonl(path, ["w"], [raster])
+        level = 1e-3 / 32
+        for source in (raster, read_raster_jsonl(path)[1][0]):
+            for dim, (code, train) in enumerate(zip(codes, trains(source))):
+                if code == 0:
+                    assert train.size == 0
+                    continue
+                rate = cfg.rate_plus_hz if code == 1 else cfg.rate_minus_hz
+                assert st.kstest(train / cfg.window_s, "uniform").pvalue > level, dim
+                assert st.kstest(np.diff(train), "expon", args=(0.0, 1.0 / rate)).pvalue > level, dim
 
     def test_stochastic_rasters_valid_1000_words(self):
         rng = np.random.default_rng(33)
@@ -626,7 +653,8 @@ class TestSerialization:
     def test_counts_csv(self, tmp_path):
         path = str(tmp_path / "c.csv")
         write_counts_csv(path, ["w"], [raster_from_counts([20, 0, 10])])
-        assert open(path).read() == "w,20,0,10\n"
+        with open(path, encoding="utf-8") as fh:
+            assert fh.read() == "w,20,0,10\n"
 
     @pytest.mark.parametrize("mode", ["stochastic", "lossless"])
     @pytest.mark.parametrize("preset", sorted(PRESETS))
@@ -719,3 +747,139 @@ class TestSerialization:
         path.write_text(NO_DIMENSIONS + "\n" + GOOD_RECORD + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match=r"r\.jsonl:1: bad raster record: trains must hold at least one"):
             read_raster_jsonl(str(path))
+
+
+def read_through_json(path):
+    """read_raster_jsonl with every block sent line by line through
+    ``json``: the reference the array parser must equal."""
+    with mock.patch.object(spike_codec, "_parse_block", lambda lines: None):
+        return read_raster_jsonl(path)
+
+
+def outcome(read, path):
+    """What ``read`` gives for ``path``, exactly: its error and message, or
+    its words and, per raster, the bits of the window, counts and times."""
+    try:
+        words, rasters = read(path)
+    except (ValueError, RecursionError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return words, [(r.window_s.hex(), r.counts().dtype, r.counts().tobytes(), r.times.dtype, r.times.tobytes())
+                   for r in rasters]
+
+
+def writer_lines(n_words, seed=14):
+    """The JSONL lines write_raster_jsonl writes for n_words stochastic
+    200 ms rasters of 6 dimensions, newline included."""
+    cfg = CodecConfig(seed=seed)
+    codes = np.random.default_rng(seed).choice(np.array([-1, 0, 1], dtype=np.int8), size=(n_words, 6))
+    rasters = [generate_raster(rates_from_ternary(c, cfg), cfg, i) for i, c in enumerate(codes)]
+    return reference_jsonl([f"w{i}" for i in range(n_words)], rasters).splitlines(keepends=True)
+
+
+# records json reads but the writer does not write, each of word "b" and 2
+# dimensions unless it is bad; each must read as the json reference reads it
+OTHER_RECORDS = {
+    "spaces": '{"word": "b", "window_ms": 200.0, "trains": [[1.0, 2.5], []]}',
+    "space in a train": '{"word":"b","window_ms":200.0,"trains":[[1.0, 2.5],[]]}',
+    "space in an empty train": '{"word":"b","window_ms":200.0,"trains":[[1.0,2.5],[ ]]}',
+    "int-only train": '{"word":"b","window_ms":200.0,"trains":[[1.0],[12]]}',
+    "crlf": '{"word":"b","window_ms":200.0,"trains":[[1.0,2.5],[]]}\r',
+    "cr between records": '{"word":"b","window_ms":200.0,"trains":[[1.0],[]]}\r{"word":"c","window_ms":200.0,"trains":[[],[2.0]]}',
+    "blank lines": '\n \n{"word":"b","window_ms":200.0,"trains":[[1.0,2.5],[]]}\n\t',
+    "int time": '{"word":"b","window_ms":200.0,"trains":[[1,2.5],[]]}',
+    "exponent": '{"word":"b","window_ms":200.0,"trains":[[1e3,2.5],[]]}',
+    "four decimals": '{"word":"b","window_ms":200.0,"trains":[[1.2345,2.5],[]]}',
+    "trailing zero decimals": '{"word":"b","window_ms":200.0,"trains":[[1.50,2.500],[0.00]]}',
+    "ten integer digits": '{"word":"b","window_ms":200.0,"trains":[[1234567890.5],[]]}',
+    "eleven integer digits": '{"word":"b","window_ms":200.0,"trains":[[12345678901.5],[]]}',
+    "nine integer digits": '{"word":"b","window_ms":200.0,"trains":[[999999999.999],[]]}',
+    "overlapping numbers": '{"word":"b","window_ms":200.0,"trains":[[1.2345.5,777],[]]}',
+    "open for a close": '{"word":"b","window_ms":200.0,"trains":[[[,[2.0]]}',
+    "close for an open": '{"word":"b","window_ms":200.0,"trains":[[1.0],]2.0]]}',
+    "no decimals before a digit": '{"word":"b","window_ms":200.0,"trains":[[1.],[5]]}',
+    "number between trains": '{"word":"b","window_ms":200.0,"trains":[[1.0],5.0,[2.0]]}',
+    "digit between trains": '{"word":"b","window_ms":200.0,"trains":[[1.0]5[2.0]]}',
+    "negative": '{"word":"b","window_ms":200.0,"trains":[[-1.0,2.5],[]]}',
+    "leading zero": '{"word":"b","window_ms":200.0,"trains":[[01.5],[]]}',
+    "no decimals after dot": '{"word":"b","window_ms":200.0,"trains":[[1.,2.5],[]]}',
+    "no digits before dot": '{"word":"b","window_ms":200.0,"trains":[[.5,2.5],[]]}',
+    "leading comma": '{"word":"b","window_ms":200.0,"trains":[[,1.0],[]]}',
+    "trailing comma": '{"word":"b","window_ms":200.0,"trains":[[1.0,],[]]}',
+    "double comma": '{"word":"b","window_ms":200.0,"trains":[[1.0],,[2.0]]}',
+    "comma only": '{"word":"b","window_ms":200.0,"trains":[[,],[]]}',
+    "nested train": '{"word":"b","window_ms":200.0,"trains":[[[1.0]],[]]}',
+    "NaN time": '{"word":"b","window_ms":200.0,"trains":[[NaN],[]]}',
+    "reordered keys": '{"window_ms":200.0,"word":"b","trains":[[1.0,2.5],[]]}',
+    "trains first": '{"trains":[[1.0,2.5],[]],"word":"b","window_ms":200.0}',
+    "extra key": '{"word":"b","window_ms":200.0,"x":[1.0],"trains":[[1.0,2.5],[]]}',
+    "no window key": '{"word":"b","trains":[[1.0,2.5],[]]}',
+    "string head": '","trains":[[1.0,2.5],[]]}',
+    "extra key last": '{"word":"b","window_ms":200.0,"trains":[[1.0,2.5],[]],"x":1}',
+    "repeated trains key": '{"word":"b","window_ms":200.0,"trains":[[9.0],[]],"trains":[[1.0,2.5],[]]}',
+    "earlier trains key": '{"word":"b","trains":7,"window_ms":200.0,"trains":[[1.0,2.5],[]]}',
+    "repeated word key": '{"word":"q","word":"b","window_ms":200.0,"trains":[[1.0,2.5],[]]}',
+    "trailing space": '{"word":"b","window_ms":200.0,"trains":[[1.0,2.5],[]]}  ',
+    "escaped word": '{"word":"b\\u00e9\\"q\\\\","window_ms":200.0,"trains":[[1.0,2.5],[]]}',
+    "non-ASCII word": '{"word":"bé日","window_ms":200.0,"trains":[[1.0,2.5],[]]}',
+    "trains key in the word": '{"word":"b,\\"trains\\":[","window_ms":200.0,"trains":[[1.0,2.5],[]]}',
+    "int window": '{"word":"b","window_ms":200,"trains":[[1.0,2.5],[]]}',
+    "huge int window": '{"word":"b","window_ms":1' + "0" * 400 + ',"trains":[[1.0,2.5],[]]}',
+    "word as bad as its trains": '{"word":"a b","window_ms":200.0,"trains":[[1.0,"x"],[]]}',
+    "not an object": '[{"word":"b","window_ms":200.0,"trains":[[1.0],[]]}]',
+    "deep head": '{"word":' + "[" * 100_000 + ',"trains":[[1.0],[]]}',
+    "canonical repeated word": '{"word":"a","window_ms":200.0,"trains":[[1.0,2.5],[]]}',
+    "canonical bad word": '{"word":"b c","window_ms":200.0,"trains":[[1.0,2.5],[]]}',
+    "canonical bad window": '{"word":"b","window_ms":-200.0,"trains":[[1.0,2.5],[]]}',
+    "canonical unequal dimension": '{"word":"b","window_ms":200.0,"trains":[[1.0,2.5]]}',
+    "canonical no dimensions": '{"word":"b","window_ms":200.0,"trains":[]}',
+}
+
+
+class TestRasterReader:
+    @settings(max_examples=200, deadline=None)
+    @given(raster_records(), st_h.sampled_from([1, 3, 7, 2**16]))
+    def test_matches_json_reference(self, tmp_path_factory, rasters, block):
+        words = [f"w{i}" for i in range(len(rasters))]
+        path = str(tmp_path_factory.mktemp("jsonl") / "r.jsonl")
+        write_raster_jsonl(path, words, rasters)
+        with mock.patch.object(spike_codec, "_BLOCK_SPIKES", block):
+            assert outcome(read_raster_jsonl, path) == outcome(read_through_json, path)
+        # the writer's own lines take the array path whenever they have a dimension
+        with open(path, encoding="utf-8") as fh:
+            parsed = spike_codec._parse_block(fh.readlines())
+        assert (parsed is not None) == (len(rasters[0]) > 0)
+
+    @pytest.mark.parametrize("block", [1, 3, 7, 2**16])
+    def test_stochastic_file_matches_json_reference(self, tmp_path, block):
+        path = tmp_path / "r.jsonl"
+        path.write_text("".join(writer_lines(40)), encoding="utf-8")
+        with mock.patch.object(spike_codec, "_BLOCK_SPIKES", block):
+            assert outcome(read_raster_jsonl, str(path)) == outcome(read_through_json, str(path))
+
+    @pytest.mark.parametrize("name", sorted(OTHER_RECORDS))
+    def test_other_json_matches_json_reference(self, tmp_path, name):
+        path = tmp_path / "r.jsonl"
+        lines = [GOOD_RECORD, OTHER_RECORDS[name], '{"word":"z","window_ms":200.0,"trains":[[],[3.0]]}']
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
+        expected = outcome(read_through_json, str(path))
+        assert outcome(read_raster_jsonl, str(path)) == expected
+        if name.startswith("canonical"):
+            assert re.fullmatch(r"ValueError: .*r\.jsonl:2: bad raster record: .*", expected)
+
+    def test_last_line_without_newline(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        path.write_text("".join(writer_lines(5)).rstrip("\n"), encoding="utf-8")
+        assert spike_codec._parse_block(path.read_text(encoding="utf-8").splitlines(keepends=True)) is not None
+        assert outcome(read_raster_jsonl, str(path)) == outcome(read_through_json, str(path))
+
+    @pytest.mark.parametrize("bad", sorted(BAD_RECORDS))
+    def test_bad_record_mid_block_names_its_line(self, tmp_path, bad):
+        # 30 short lines make one block at the default size
+        lines = writer_lines(30)
+        # the repeated word repeats line 4
+        lines[11] = BAD_RECORDS[bad].replace('"word":"a"', '"word":"w3"') + "\n"
+        path = tmp_path / "r.jsonl"
+        path.write_text("".join(lines), encoding="utf-8")
+        message = outcome(read_raster_jsonl, str(path))
+        assert message == outcome(read_through_json, str(path))
+        assert re.fullmatch(r"ValueError: .*r\.jsonl:12: bad raster record: .*", message)
