@@ -128,7 +128,8 @@ def load_embeddings(path: str, lowercase: bool = False) -> EmbeddingSet:
     with open(path, encoding="utf-8", newline=None) as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
-            if lineno == 1 and len(parts) == 2 and all(tok.isdigit() for tok in parts):
+            # str.isdigit() holds for "²" too, which int() cannot read
+            if lineno == 1 and len(parts) == 2 and all(tok.isascii() and tok.isdigit() for tok in parts):
                 declared = (int(parts[0]), int(parts[1]))
                 continue
             if not parts:

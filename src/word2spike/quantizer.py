@@ -76,15 +76,36 @@ def quantize_all(es: EmbeddingSet) -> TernarySet:
     return TernarySet(es.words, codes, gammas)
 
 
-# the text form of -1, 0, +1, indexed by code + 1
-_SYMBOLS = np.array(["-1", "0", "1"])
+# ternary.txt is formatted in blocks of about this many codes
+_BLOCK_CODES = 2**16
+
+# " -1", " 0" and " 1" in 4-byte lanes padded with 0 bytes, indexed by code + 1
+_SYMBOL_LANES = np.frombuffer(b" -1\0 0\0\0 1\0\0", np.uint32)
+
+
+def _row_texts(cells: np.ndarray, ends) -> list[bytes]:
+    """The bytes of a (rows, width) uint8 matrix with every 0 byte dropped,
+    cut into pieces: piece i holds the rows from ``ends[i - 1]`` (0 for
+    the first) up to ``ends[i]``."""
+    ends = list(ends)
+    return [cells[start:stop].tobytes().translate(None, b"\0") for start, stop in zip([0] + ends, ends)]
 
 
 def save_ternary(ts: TernarySet, path: str) -> None:
-    """Write a ternary set in the text embedding format, values in {-1,0,1}."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for word, row in zip(ts.words, ts.values):
-            fh.write(word + " " + " ".join(_SYMBOLS[row + 1].tolist()) + "\n")
+    """Write a ternary set in the text embedding format, values in {-1,0,1}.
+
+    The codes are gathered from a table of 4-byte lanes, in blocks of
+    about _BLOCK_CODES codes.
+    """
+    step = max(1, _BLOCK_CODES // max(ts.dim, 1))
+    with open(path, "wb") as fh:
+        for start in range(0, len(ts), step):
+            codes = ts.values[start:start + step]
+            texts = _row_texts(_SYMBOL_LANES[codes + 1].view(np.uint8), range(1, len(codes) + 1))
+            # word, space and the codes joined by spaces, even when there are none
+            fh.write(b"".join(
+                word.encode() + b" " + text[1:] + b"\n" for word, text in zip(ts.words[start:start + step], texts)
+            ))
 
 
 def load_ternary(path: str) -> TernarySet:

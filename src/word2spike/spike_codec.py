@@ -24,10 +24,11 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, fields
+from types import SimpleNamespace
 
 import numpy as np
 
-from .quantizer import TernarySet, TernaryVector, quantize_all
+from .quantizer import TernarySet, TernaryVector, _row_texts, quantize_all
 
 
 class ConfigError(ValueError):
@@ -493,18 +494,72 @@ def suggest_threshold(cfg: CodecConfig) -> tuple[float, float]:
 # --- serialization ------------------------------------------------------------
 
 # rasters are formatted in blocks of about this many spikes, each
-# dimension counting as one more (an empty one takes a row of its own), so
-# the byte matrix and its index arrays stay at a few MB at any dimension
+# dimension counting as one more (an empty one takes a row of its own), and
+# counts.csv in blocks of about this many counts, so the byte matrix and its
+# index arrays stay at a few MB at any dimension
 _BLOCK_SPIKES = 2**16
 
+
+def _lanes(texts) -> np.ndarray:
+    """Each text right-aligned in 4 bytes, padded with 0 bytes, as a uint32."""
+    return np.frombuffer(b"".join(text.encode().rjust(4, b"\0") for text in texts), np.uint32)
+
+
+# the decimal text of v < 1000 as a number's leading group of three digits,
+# and as any later group
+_LEAD_LANES = _lanes(str(v) for v in range(1000))
+_GROUP_LANES = _lanes(f"{v:03d}" for v in range(1000))
+
 # the decimals of f / 1000 ms for each f < 1000, as json.dumps writes a
-# float: trailing zeros dropped, but ".0" for a whole number; the last row
-# is the blank of an empty dimension (0 bytes are dropped from the output)
-_DECIMALS = np.frombuffer(
-    b"".join(f".{f:03d}".rstrip("0").ljust(2, "0").ljust(4, "\0").encode() for f in range(1000))
-    + bytes(4),
-    np.uint8,
-).reshape(1001, 4)
+# float: trailing zeros dropped, but ".0" for a whole number
+_DECIMAL_LANES = np.frombuffer(
+    b"".join(f".{f:03d}".rstrip("0").ljust(2, "0").encode().ljust(4, b"\0") for f in range(1000)), np.uint32
+)
+
+# "[" and "," in the first byte of a lane, which a number's lanes leave 0;
+# and the end of a spike's row: its comma, or "]," if it closes its dimension
+_OPEN, _COMMA = (np.frombuffer(text.ljust(4, b"\0"), np.uint32)[0] for text in (b"[", b","))
+_NEXT, _CLOSE = np.frombuffer(b",\0],", np.uint16)
+
+
+def _decimal_lanes(values: np.ndarray) -> np.ndarray:
+    """The decimal text of nonnegative integers as (len, k) uint32 lanes of
+    three digits each, most significant first; the lanes before the one
+    with a value's first digit are 0, and k lanes hold the largest value."""
+    n_lanes = (len(str(int(values.max()))) + 2) // 3 if values.size else 1
+    if n_lanes == 1:
+        return _LEAD_LANES[values][:, None]
+    lanes = np.empty((len(values), n_lanes), np.uint32)
+    rest = values
+    for col in range(n_lanes - 1, -1, -1):
+        part = rest
+        rest, group = np.divmod(part, 1000)
+        lanes[:, col] = np.where(rest > 0, _GROUP_LANES[group], _LEAD_LANES[group])
+        if col < n_lanes - 1:
+            lanes[part == 0, col] = 0
+    return lanes
+
+
+def _records(words, rasters):
+    """The (word, raster) pairs to write; ValueError, before a byte is
+    written, if there are not as many words as rasters."""
+    if len(words) != len(rasters):
+        raise ValueError(f"{len(words)} words for {len(rasters)} rasters")
+    return zip(words, rasters)
+
+
+def _blocks(items, size):
+    """Lists of consecutive items, each closed once the ``size`` of its
+    items adds up to _BLOCK_SPIKES."""
+    block, total = [], 0
+    for item in items:
+        block.append(item)
+        total += size(item)
+        if total >= _BLOCK_SPIKES:
+            yield block
+            block, total = [], 0
+    if block:
+        yield block
 
 
 def write_raster_jsonl(path: str, words, rasters) -> None:
@@ -515,26 +570,20 @@ def write_raster_jsonl(path: str, words, rasters) -> None:
     ``np.round(t * 1000, 3)``.  Raises ValueError naming the word for a
     negative or non-finite time, or one that rounds to 1e9 ms or more.
     """
+    records = _records(words, rasters)
     with open(path, "wb") as fh:
-        block, size = [], 0
-        for record in zip(words, rasters):
-            block.append(record)
-            counts = record[1].counts()
-            size += int(counts.sum()) + len(counts)
-            if size >= _BLOCK_SPIKES:
-                fh.write(_format_records(block))
-                block, size = [], 0
-        if block:
+        for block in _blocks(records, lambda record: int(record[1].counts().sum()) + len(record[1])):
             fh.write(_format_records(block))
 
 
 def _format_records(block) -> bytes:
     """The JSONL bytes of a list of (word, raster) records.
 
-    Each spike, and each empty dimension, is one row of a byte matrix: "["
-    if it opens its dimension, the time's digits, then "," or "],".  Unused
-    cells hold 0, which no output byte is, so dropping every 0 leaves the
-    trains text with one comma too many at the end.
+    Each spike, and each empty dimension, is one row of a byte matrix: the
+    lanes of the time's integer part, "[" in the first byte if the row
+    opens its dimension, a lane of ".ddd", then "," or "],".  Unused bytes
+    hold 0, which no output byte is, so dropping every 0 leaves the trains
+    text with one comma too many at the end.
     """
     rasters = [raster for _, raster in block]
     times = np.concatenate([r.times for r in rasters])
@@ -551,33 +600,29 @@ def _format_records(block) -> bytes:
     # form: two 3-decimal values lie 0.001 apart, far more than one ulp,
     # and no exponent form applies
     ms, decimals = np.divmod(ticks.astype(np.int64), 1000)
-    n_int = len(str(ms.max())) if ms.size else 1
+    integer = _decimal_lanes(ms)
 
     rows = np.maximum(counts, 1)
     ends = np.cumsum(rows)
-    spiking = np.repeat(counts > 0, rows)
-    row_ms = np.zeros(len(spiking), np.int64)
-    row_ms[spiking] = ms
-    row_decimals = np.full(len(spiking), 1000)
-    row_decimals[spiking] = decimals
-    buf = np.zeros((len(spiking), n_int + 7), np.uint8)  # "[", digits, ".ddd", "],"
-    buf[ends - rows, 0] = ord("[")
-    # integer digits right-aligned, units last; a leading zero stays blank
-    buf[:, n_int] = np.where(spiking, row_ms % 10 + ord("0"), 0)
-    for col in range(n_int - 1, 0, -1):
-        row_ms //= 10
-        buf[:, col] = np.where(row_ms > 0, row_ms % 10 + ord("0"), 0)
-    buf[:, n_int + 1:n_int + 5] = _DECIMALS[row_decimals]
-    buf[:, -2] = ord(",")
-    buf[ends - 1, -2:] = np.frombuffer(b"],", np.uint8)
+    spikes = np.repeat(counts > 0, rows)
+    n_int = 4 * integer.shape[1]
+    buf = np.zeros((len(spikes), n_int + 6), np.uint8)
+    # one lane column at a time: 1-d indexed writes are several times faster
+    lanes = buf[:, :n_int + 4].view(np.uint32)
+    for col in range(integer.shape[1]):
+        lanes[:, col][spikes] = integer[:, col]
+    lanes[:, -1][spikes] = _DECIMAL_LANES[decimals]
+    lanes[:, 0][ends - rows] |= _OPEN
+    tail = buf[:, n_int + 4:].view(np.uint16)[:, 0]
+    tail[:] = _NEXT
+    tail[ends - 1] = _CLOSE
 
-    bounds = np.concatenate(([0], ends))[np.cumsum([0] + [len(r) for r in rasters])].tolist()
+    word_ends = np.concatenate(([0], ends))[np.cumsum([len(r) for r in rasters])]
     parts = []
-    for i, (word, raster) in enumerate(block):
+    for (word, raster), trains in zip(block, _row_texts(buf, word_ends.tolist())):
         window_ms = json.dumps(round(raster.window_s * 1000.0, 6))
-        trains = buf[bounds[i]:bounds[i + 1]]
         parts += (f'{{"word":{json.dumps(word)},"window_ms":{window_ms},"trains":['.encode(),
-                  trains[trains != 0].tobytes()[:-1], b"]}\n")
+                  trains[:-1], b"]}\n")
     return b"".join(parts)
 
 
@@ -595,7 +640,9 @@ def read_raster_jsonl(path: str) -> tuple[list[str], list[SpikeRaster]]:
     line_of: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         lines = ((lineno, line) for lineno, line in enumerate(fh, start=1) if not line.isspace())
-        for block in _line_blocks(lines):
+        # a time and its comma take at least 4 characters, so the parsing
+        # arrays of a block of _BLOCK_SPIKES characters stay small
+        for block in _blocks(lines, lambda item: len(item[1])):
             parsed = _parse_block([line for _, line in block]) or [None] * len(block)
             for (lineno, line), record in zip(block, parsed):
                 try:
@@ -608,27 +655,13 @@ def read_raster_jsonl(path: str) -> tuple[list[str], list[SpikeRaster]]:
                         raise ValueError(f"word {word!r} repeats line {line_of[word]}")
                     if rasters and len(counts) != len(rasters[0]):
                         raise ValueError(f"{len(counts)} dimensions, the first record has {len(rasters[0])}")
-                except (KeyError, ValueError, TypeError, OverflowError) as exc:
+                # json.loads raises RecursionError on a deeply nested record
+                except (KeyError, ValueError, TypeError, OverflowError, RecursionError) as exc:
                     raise ValueError(f"{path}:{lineno}: bad raster record: {exc}") from exc
                 line_of[word] = lineno
                 words.append(word)
                 rasters.append(SpikeRaster(window_s, times, counts))
     return words, rasters
-
-
-def _line_blocks(lines):
-    """Lists of consecutive lines, each list about _BLOCK_SPIKES
-    characters long, so that the parsing arrays of a block stay small:
-    a time and its comma take at least 4 characters."""
-    block, size = [], 0
-    for item in lines:
-        block.append(item)
-        size += len(item[1])
-        if size >= _BLOCK_SPIKES:
-            yield block
-            block, size = [], 0
-    if block:
-        yield block
 
 
 def _record_head(record) -> tuple[str, float]:
@@ -776,9 +809,21 @@ def _parse_trains(text: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray] | No
 
 
 def write_counts_csv(path: str, words, rasters) -> None:
-    """Compact export: word,c1,c2,...,cn spike counts per dimension.  A
-    word holding a comma or a quote is quoted by the csv module's rules."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        for word, raster in zip(words, rasters):
-            writer.writerow([word, *raster.counts().tolist()])
+    """Compact export: word,c1,c2,...,cn spike counts per dimension.  The
+    word is written by the csv module, so a word holding a comma or a quote
+    is quoted by its rules; the counts come from lanes in blocks of about
+    _BLOCK_SPIKES counts."""
+    records = _records(words, rasters)
+    # writerow returns what its file's write returns: here the row's text
+    csv_row = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
+    with open(path, "wb") as fh:
+        for block in _blocks(records, lambda record: len(record[1])):
+            lanes = _decimal_lanes(np.concatenate([raster.counts() for _, raster in block]))
+            lanes[:, 0] |= _COMMA
+            texts = _row_texts(lanes.view(np.uint8), np.cumsum([len(raster) for _, raster in block]).tolist())
+            # a word without counts is a row of its own, which csv writes
+            # differently when the word is empty
+            fh.write(b"".join(
+                csv_row((word, ""))[:-2].encode() + counts + b"\n" if counts else csv_row((word,)).encode()
+                for (word, _), counts in zip(block, texts)
+            ))

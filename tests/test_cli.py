@@ -19,7 +19,7 @@ from word2spike.quantizer import quantize_all
 from word2spike.spike_codec import CodecConfig, generate_raster, rates_from_ternary
 
 from conftest import write_lines
-from test_spike_codec import BAD_RECORDS, GOOD_RECORD, NO_DIMENSIONS
+from test_spike_codec import BAD_RECORDS, DEEP_RECORD, GOOD_RECORD, NO_DIMENSIONS
 
 EMB = [
     "cat 1.0 0.2 -2.0 0.1",
@@ -51,6 +51,12 @@ class TestQuantizeCmd:
     def test_malformed_file_exit_2(self, tmp_path):
         bad = write_lines(tmp_path / "bad.txt", ["a 1 2", "b 1"])
         assert main(["quantize", "--embeddings", bad, "--out-dir", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("first", ["\u00b2 3", "\u0661\u0660 \u0663"], ids=["superscript", "arabic-indic"])
+    def test_non_ascii_digit_header_names_its_line(self, tmp_path, capsys, first):
+        bad = write_lines(tmp_path / "bad.txt", [first, *EMB])
+        assert main(["quantize", "--embeddings", bad, "--out-dir", str(tmp_path / "q")]) == 2
+        assert f"{bad}:2: line has 4 values, expected 1" in capsys.readouterr().err
 
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["quantize", "--embeddings", str(tmp_path / "nope.txt"),
@@ -265,6 +271,17 @@ class TestDecodeCmd:
         out = tmp_path / "d"
         assert main(["decode", "--rasters", str(path), "--out-dir", str(out)]) == 2
         assert "r.jsonl:2" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lineno", [1, 2])
+    def test_deeply_nested_record_exit_2(self, tmp_path, capsys, lineno):
+        path = tmp_path / "r.jsonl"
+        lines = [GOOD_RECORD.replace('"a"', '"z"'), GOOD_RECORD]
+        lines[lineno - 1] = DEEP_RECORD
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "d"
+        assert main(["decode", "--rasters", str(path), "--out-dir", str(out)]) == 2
+        assert f"r.jsonl:{lineno}: bad raster record: maximum recursion depth" in capsys.readouterr().err
         assert not out.exists()
 
     def test_raster_without_dimensions_exit_2(self, tmp_path, capsys):

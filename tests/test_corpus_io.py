@@ -134,6 +134,17 @@ class TestLoadEmbeddings:
         with pytest.raises(CorpusFormatError, match="header"):
             load_embeddings(path)
 
+    # str.isdigit() holds for these, and int() reads "١٠ ٣" but not "²"
+    @pytest.mark.parametrize("first", ["\u00b2 3", "\u0661\u0660 \u0663"], ids=["superscript", "arabic-indic"])
+    def test_non_ascii_digits_are_data_not_a_header(self, tmp_path, first):
+        path = write_lines(tmp_path / "e.txt", [first, "a 1"])
+        es = load_embeddings(path)
+        assert es.words == (first.split()[0], "a")
+        assert np.array_equal(es.vectors, [[3.0], [1.0]])
+        path = write_lines(tmp_path / "e.txt", [first, "a 1 2 3"])
+        with pytest.raises(CorpusFormatError, match=f"^{path}:2: line has 3 values, expected 1$"):
+            load_embeddings(path)
+
     def test_lowercase_folding(self, tmp_path):
         path = write_lines(tmp_path / "e.txt", ["Cat 1 2"])
         assert load_embeddings(path, lowercase=True).words == ("cat",)

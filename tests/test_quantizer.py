@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from word2spike import quantizer
 from word2spike.corpus_io import CorpusFormatError, EmbeddingSet
 from word2spike.quantizer import (
     TernarySet,
@@ -164,6 +167,23 @@ class TestQuantizeAll:
         ts = TernarySet(tuple(f"w{i}" for i in range(shape[0])), values)
         path = tmp_path / "t.txt"
         save_ternary(ts, str(path))
+        expected = "".join(
+            word + " " + " ".join(str(int(v)) for v in row) + "\n"
+            for word, row in zip(ts.words, ts.values)
+        )
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.text(min_size=1, max_size=4), unique=True, max_size=6), st.integers(0, 5),
+           st.sampled_from([1, 3, 7, 2**16]), st.data())
+    def test_save_bytes_match_per_value_formatting_in_blocks(self, tmp_path_factory, words, dim, block, data):
+        # non-ASCII words, rows without dimensions and blocks cut anywhere
+        values = np.array(data.draw(st.lists(st.lists(st.sampled_from([-1, 0, 1]), min_size=dim, max_size=dim),
+                                             min_size=len(words), max_size=len(words))), np.int8)
+        ts = TernarySet(tuple(words), values.reshape(len(words), dim))
+        path = tmp_path_factory.mktemp("ternary") / "t.txt"
+        with mock.patch.object(quantizer, "_BLOCK_CODES", block):
+            save_ternary(ts, str(path))
         expected = "".join(
             word + " " + " ".join(str(int(v)) for v in row) + "\n"
             for word, row in zip(ts.words, ts.values)

@@ -598,6 +598,9 @@ BAD_RECORDS = {
 # no dimensions at all: on line 1 no earlier record has a dimension count
 NO_DIMENSIONS = '{"word":"b","window_ms":200.0,"trains":[]}'
 
+# nested far deeper than json's recursion limit
+DEEP_RECORD = '{"word":' + "[" * 100_000
+
 
 def spike_times(window_s):
     """Spike times in [0, window_s) s, often on a formatting edge."""
@@ -614,7 +617,8 @@ def spike_times(window_s):
     )
 
 
-SPIKE_TIMES = {window_s: spike_times(window_s) for window_s in (0.2, 0.4, 1.0, 123.456)}
+# 1e4 s reaches 7 integer digits in ms, which take 3 lanes of 3
+SPIKE_TIMES = {window_s: spike_times(window_s) for window_s in (0.2, 0.4, 1.0, 123.456, 1e4)}
 
 
 @st_h.composite
@@ -628,6 +632,30 @@ def raster_records(draw):
         times = draw(st_h.lists(SPIKE_TIMES[window_s], min_size=sum(counts), max_size=sum(counts)))
         rasters.append(SpikeRaster(window_s, times, counts))
     return rasters
+
+
+def reference_counts_csv(path, words, rasters):
+    """The per-row writer that write_counts_csv must reproduce byte for byte."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        for word, raster in zip(words, rasters):
+            writer.writerow([word, *raster.counts().tolist()])
+
+
+# characters that csv quotes or that take more than one byte
+WORD_CHARACTERS = st_h.one_of(st_h.sampled_from([",", '"', "\r", "\n", "\u00e9", "\u65e5"]), st_h.characters())
+# counts on a lane edge, and any other
+SPIKE_COUNTS = st_h.one_of(st_h.sampled_from([0, 999, 1000, 10**6, 10**12]), st_h.integers(0, 10**12))
+
+
+@st_h.composite
+def count_records(draw):
+    """Words, none to several, and rasters of their counts only (their
+    times are never made), any dimension including zero."""
+    n_dims = draw(st_h.integers(0, 6))
+    words = draw(st_h.lists(st_h.text(WORD_CHARACTERS, max_size=4), max_size=5))
+    counts = st_h.lists(SPIKE_COUNTS, min_size=n_dims, max_size=n_dims)
+    return words, [SpikeRaster._deferred(0.2, np.array(draw(counts), np.int64), None) for _ in words]
 
 
 class TestSerialization:
@@ -724,6 +752,24 @@ class TestSerialization:
         with pytest.raises(ValueError, match="word 'second'"):
             write_raster_jsonl(str(tmp_path / "r.jsonl"), ["first", "second"], rasters)
 
+    @settings(max_examples=200, deadline=None)
+    @given(count_records(), st_h.sampled_from([1, 3, 7, 2**16]))
+    def test_counts_csv_bytes_match_reference(self, tmp_path_factory, records, block):
+        words, rasters = records
+        folder = tmp_path_factory.mktemp("csv")
+        with mock.patch.object(spike_codec, "_BLOCK_SPIKES", block):
+            write_counts_csv(str(folder / "c.csv"), words, rasters)
+        reference_counts_csv(str(folder / "ref.csv"), words, rasters)
+        assert (folder / "c.csv").read_bytes() == (folder / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("write", [write_raster_jsonl, write_counts_csv])
+    @pytest.mark.parametrize("n_words, n_rasters", [(2, 1), (1, 2)])
+    def test_writers_reject_unpaired_words(self, tmp_path, write, n_words, n_rasters):
+        path = tmp_path / "out"
+        with pytest.raises(ValueError, match=f"^{n_words} words for {n_rasters} rasters$"):
+            write(str(path), ["a", "b"][:n_words], [raster_from_counts([1, 2])] * n_rasters)
+        assert not path.exists()
+
     def test_counts_csv_quotes_commas_and_quotes(self, tmp_path):
         path = str(tmp_path / "c.csv")
         words = ["a,b", 'say"hi', "plain"]
@@ -761,7 +807,7 @@ def outcome(read, path):
     its words and, per raster, the bits of the window, counts and times."""
     try:
         words, rasters = read(path)
-    except (ValueError, RecursionError) as exc:
+    except ValueError as exc:
         return f"{type(exc).__name__}: {exc}"
     return words, [(r.window_s.hex(), r.counts().dtype, r.counts().tobytes(), r.times.dtype, r.times.tobytes())
                    for r in rasters]
@@ -871,6 +917,17 @@ class TestRasterReader:
         path.write_text("".join(writer_lines(5)).rstrip("\n"), encoding="utf-8")
         assert spike_codec._parse_block(path.read_text(encoding="utf-8").splitlines(keepends=True)) is not None
         assert outcome(read_raster_jsonl, str(path)) == outcome(read_through_json, str(path))
+
+    # line 1 starts the file, line 12 is in the middle of a block
+    @pytest.mark.parametrize("lineno", [1, 12])
+    def test_deeply_nested_record_names_its_line(self, tmp_path, lineno):
+        lines = writer_lines(30)
+        lines[lineno - 1] = DEEP_RECORD + "\n"
+        path = tmp_path / "r.jsonl"
+        path.write_text("".join(lines), encoding="utf-8")
+        message = outcome(read_raster_jsonl, str(path))
+        assert message == outcome(read_through_json, str(path))
+        assert re.fullmatch(rf"ValueError: .*r\.jsonl:{lineno}: bad raster record: maximum recursion depth .*", message)
 
     @pytest.mark.parametrize("bad", sorted(BAD_RECORDS))
     def test_bad_record_mid_block_names_its_line(self, tmp_path, bad):
