@@ -11,8 +11,8 @@ Exit codes: 0 success, 2 input error (an unwritable out-dir included),
 every output and then the manifest is written to a temp name in the
 out-dir, and only then are they renamed into place, manifest last.  So a
 run that fails before its renames changes no file, and a target that is
-a directory fails the run before the first rename.  Outputs get the
-umask's permissions.
+a directory, or not one plain file name, fails the run before the first
+rename.  Outputs get the umask's permissions.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import hashlib
 import json
 import os
 import shlex
+import stat
 import sys
 import tempfile
 from datetime import datetime, timezone
@@ -101,8 +102,12 @@ def _publish(args, cfg: CodecConfig | None, inputs: dict[str, str], outputs: dic
     a plain open() would give it, 0o666 less the umask (mkstemp makes
     0o600).  Only when all are written, and no target is a directory,
     are they renamed into place, manifest last; on any failure every temp
-    file is removed.
+    file is removed.  Each name must be one plain file name.
     """
+    for name in outputs:
+        if os.path.basename(name) != name:
+            raise OSError(errno.EINVAL, "output name is not a plain file name",
+                          os.path.join(args.out_dir, name))
     os.makedirs(args.out_dir, exist_ok=True)
     umask = os.umask(0)
     os.umask(umask)
@@ -117,10 +122,14 @@ def _publish(args, cfg: CodecConfig | None, inputs: dict[str, str], outputs: dic
             staged.append((tmp, os.path.join(args.out_dir, name)))
             write(tmp)
             os.chmod(tmp, 0o666 & ~umask)
-        # os.replace cannot put a file over a directory: fail before the
-        # first rename rather than after some
+        # os.replace fails on a directory or a name the file system refuses:
+        # fail before the first rename rather than after some
         for _, path in staged:
-            if os.path.isdir(path) and not os.path.islink(path):
+            try:
+                mode = os.lstat(path).st_mode
+            except FileNotFoundError:
+                continue
+            if stat.S_ISDIR(mode):
                 raise IsADirectoryError(errno.EISDIR, "output name is a directory", path)
         for tmp, path in staged:
             os.replace(tmp, path)
@@ -137,17 +146,13 @@ def build_config(args) -> CodecConfig:
     if args.preset and args.config:
         raise ConfigError("--preset and --config are mutually exclusive")
     settings = _read_config(args.config) if args.config else {}
-    flags = {
-        "window_s": None if args.window_ms is None else args.window_ms / 1000.0,
-        "rate_plus_hz": args.rate_plus,
-        "rate_minus_hz": args.rate_minus,
-        "threshold_hz": args.threshold,
-        "mode": args.mode,
-        "seed": args.seed,
-    }
-    settings.update((key, value) for key, value in flags.items() if value is not None)
+    # each flag is stored under its field's name, except --window-ms
+    settings.update((field.name, getattr(args, field.name)) for field in dataclasses.fields(CodecConfig)
+                    if getattr(args, field.name, None) is not None)
+    if args.window_ms is not None:
+        settings["window_s"] = args.window_ms / 1000.0
     cfg = dataclasses.replace(PRESETS[args.preset] if args.preset else CodecConfig(), **settings)
-    if cfg.mode == "stochastic" and args.needs_seed and "seed" not in settings:
+    if cfg.mode == "stochastic" and hasattr(args, "seed") and "seed" not in settings:
         raise ConfigError(
             "stochastic mode requires an explicit --seed; refusing to run with silent nondeterminism"
         )
@@ -306,9 +311,9 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key-value config file")
     p.add_argument("--preset", choices=sorted(PRESETS))
     p.add_argument("--window-ms", type=float)
-    p.add_argument("--rate-plus", type=float)
-    p.add_argument("--rate-minus", type=float)
-    p.add_argument("--threshold", type=float)
+    p.add_argument("--rate-plus", dest="rate_plus_hz", type=float)
+    p.add_argument("--rate-minus", dest="rate_minus_hz", type=float)
+    p.add_argument("--threshold", dest="threshold_hz", type=float)
 
 
 def _add_generation_flags(p: argparse.ArgumentParser) -> None:
@@ -340,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("quantize", help="ternarize an embedding file")
     _add_corpus_flags(p)
     p.add_argument("--out-dir", default=".")
-    p.set_defaults(func=cmd_quantize, needs_seed=False)
+    p.set_defaults(func=cmd_quantize)
 
     p = sub.add_parser("encode", help="generate spike rasters")
     _add_corpus_flags(p, embeddings_required=False)
@@ -351,21 +356,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=1, help="ignored; encoding runs on one thread")
     p.add_argument("--counts", action="store_true", help="also write counts.csv")
     p.add_argument("--plot-word", help="render one word's raster to SVG")
-    p.set_defaults(func=cmd_encode, needs_seed=True)
+    p.set_defaults(func=cmd_encode)
 
     # decoding and the error analysis read neither the mode nor the seed
     p = sub.add_parser("decode", help="decode rasters back to ternary codes")
     p.add_argument("--rasters", required=True)
     _add_config_flags(p)
     p.add_argument("--out-dir", default=".")
-    p.set_defaults(func=cmd_decode, needs_seed=False, mode=None, seed=None)
+    p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("analyze", help="exact decode-error analysis for a config")
     _add_config_flags(p)
     p.add_argument("--composition", type=_parse_composition,
                    help="n_plus,n_minus,n_zero for expected word error")
     p.add_argument("--out-dir")
-    p.set_defaults(func=cmd_analyze, needs_seed=False, mode=None, seed=None)
+    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("eval", help="full metric report over three representations")
     _add_corpus_flags(p)
@@ -374,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
     _add_generation_flags(p)
     p.add_argument("--out-dir", default=".")
-    p.set_defaults(func=cmd_eval, needs_seed=True)
+    p.set_defaults(func=cmd_eval)
 
     return parser
 

@@ -128,7 +128,7 @@ class _NeighborIndex:
         # permutation), the last ranking key
         self.token_rank = np.argsort(sorted(range(len(self.words)), key=self.words.__getitem__))
         self.sq_norms = np.einsum("ij,ij->i", self.matrix, self.matrix)
-        self._own: dict[int, dict[str, list[str]]] = {}
+        self._own: dict[int, list[list[str]]] = {}
 
     @cached_property
     def zero_norm(self) -> np.ndarray:
@@ -171,8 +171,6 @@ class _NeighborIndex:
         return out
 
     def _rank(self, scores: np.ndarray, k: int) -> list[list[str]]:
-        if k <= 0:
-            return [[] for _ in scores]
         # per query row: every candidate scoring at least the k-th largest
         # (ties at the k-th place included), ordered by (-score, token)
         kth = np.partition(scores, -k, axis=1)[:, -k]
@@ -189,18 +187,12 @@ class _NeighborIndex:
             for a, b in zip(starts[:-1], starts[1:])
         ]
 
-    def own_top_k(self, words: list[str], k: int) -> list[list[str]]:
-        """Top-k lists of vocabulary words, each ranking itself out;
-        memoized per (word, k), and the missing ones computed in one call."""
-        memo = self._own.setdefault(k, {})
-        missing = [w for w in dict.fromkeys(words) if w not in memo]
-        if missing:
-            rows = np.sort(np.array([self.row[w] for w in missing], dtype=np.intp))
-            # the whole vocabulary is queried in place, without a copy
-            queries = self.matrix if len(rows) == len(self.words) else self.matrix[rows]
-            tops = self.top_k(queries, k, rows[:, None])
-            memo.update((self.words[r], top) for r, top in zip(rows, tops))
-        return [memo[w] for w in words]
+    def own_top_k(self, k: int) -> list[list[str]]:
+        """Every word's top-k list in row order, each word ranking itself
+        out; computed in one search at the first use of each k."""
+        if k not in self._own:
+            self._own[k] = self.top_k(self.matrix, k, np.arange(len(self.words))[:, None])
+        return self._own[k]
 
 
 def _as_index(vectors: Mapping[str, np.ndarray] | _NeighborIndex) -> _NeighborIndex:
@@ -218,19 +210,21 @@ def overlap_at_k(
 ) -> float:
     """Mean |top-k(a) ∩ top-k(b)| / k over the shared vocabulary.
 
-    Either side may be a prebuilt index, whose top-k lists are reused.
-    The integer intersection sizes are summed and divided once, so the
-    mean is the correctly rounded fraction whatever the word order.
+    Either side may be a prebuilt index, whose top-k table is reused.
+    Each index computes every word's top-k list once per k, so a small
+    ``vocab`` over a large index still costs the whole table.  The integer
+    intersection sizes are summed and divided once, so the mean is the
+    correctly rounded fraction whatever the word order.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     index_a, index_b = _as_index(map_a), _as_index(map_b)
-    words = list(vocab) if vocab is not None else sorted(set(index_a.row) & set(index_b.row))
-    words = [w for w in words if w in index_a and w in index_b]
+    words = [w for w in (index_a.words if vocab is None else vocab) if w in index_a and w in index_b]
     if not words:
         raise EvaluationError("empty shared vocabulary")
-    pairs = zip(index_a.own_top_k(words, k), index_b.own_top_k(words, k))
-    return sum(len(set(top_a) & set(top_b)) for top_a, top_b in pairs) / (k * len(words))
+    tops_a, tops_b = index_a.own_top_k(k), index_b.own_top_k(k)
+    hits = sum(len(set(tops_a[index_a.row[w]]) & set(tops_b[index_b.row[w]])) for w in words)
+    return hits / (k * len(words))
 
 
 def analogy_eval(

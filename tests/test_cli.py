@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import errno
 import json
 import os
@@ -32,6 +33,36 @@ EMB = [
 @pytest.fixture
 def emb_file(tmp_path):
     return write_lines(tmp_path / "emb.txt", EMB)
+
+
+@pytest.fixture
+def fake_matplotlib(monkeypatch):
+    """A matplotlib whose figure records its calls and saves b"<svg/>";
+    returns the list of calls and the figure."""
+    calls = []
+
+    class Axes:
+        def eventplot(self, trains, **kwargs):
+            calls.append(("eventplot", trains, kwargs))
+
+        def __getattr__(self, name):  # set_xlabel, set_ylabel, set_title
+            return lambda *args, **kwargs: None
+
+    class Figure:
+        def savefig(self, path, **kwargs):
+            calls.append(("savefig", path, kwargs))
+            Path(path).write_bytes(b"<svg/>")
+
+    matplotlib = types.ModuleType("matplotlib")
+    pyplot = types.ModuleType("matplotlib.pyplot")
+    matplotlib.use = lambda backend: calls.append(("use", backend))
+    matplotlib.pyplot = pyplot
+    figure = Figure()
+    pyplot.subplots = lambda **kwargs: (figure, Axes())
+    pyplot.close = lambda fig: calls.append(("close", fig))
+    monkeypatch.setitem(sys.modules, "matplotlib", matplotlib)
+    monkeypatch.setitem(sys.modules, "matplotlib.pyplot", pyplot)
+    return calls, figure
 
 
 def read(path):
@@ -199,31 +230,8 @@ class TestEncodeCmd:
         assert "matplotlib is required" in capsys.readouterr().err
         assert not (out / "rasters.jsonl").exists()
 
-    def test_plot_word_draws_each_dimension_in_ms(self, tmp_path, emb_file, monkeypatch):
-        calls = []
-
-        class Axes:
-            def eventplot(self, trains, **kwargs):
-                calls.append(("eventplot", trains, kwargs))
-
-            def __getattr__(self, name):  # set_xlabel, set_ylabel, set_title
-                return lambda *args, **kwargs: None
-
-        class Figure:
-            def savefig(self, path, **kwargs):
-                calls.append(("savefig", path, kwargs))
-                Path(path).write_bytes(b"<svg/>")
-
-        matplotlib = types.ModuleType("matplotlib")
-        pyplot = types.ModuleType("matplotlib.pyplot")
-        matplotlib.use = lambda backend: calls.append(("use", backend))
-        matplotlib.pyplot = pyplot
-        figure = Figure()
-        pyplot.subplots = lambda **kwargs: (figure, Axes())
-        pyplot.close = lambda fig: calls.append(("close", fig))
-        monkeypatch.setitem(sys.modules, "matplotlib", matplotlib)
-        monkeypatch.setitem(sys.modules, "matplotlib.pyplot", pyplot)
-
+    def test_plot_word_draws_each_dimension_in_ms(self, tmp_path, emb_file, fake_matplotlib):
+        calls, figure = fake_matplotlib
         out = tmp_path / "e"
         assert main(["encode", "--embeddings", emb_file, "--seed", "5",
                      "--plot-word", "fox", "--out-dir", str(out)]) == 0
@@ -246,6 +254,17 @@ class TestEncodeCmd:
         assert (out / "raster_fox.svg").read_bytes() == b"<svg/>"
         assert not tmp.exists()
         assert calls[3][1] is figure
+
+    @pytest.mark.parametrize("word", ["a/b", "w" * 300], ids=["slash", "too-long"])
+    def test_plot_word_that_names_no_file_changes_no_file(self, tmp_path, capsys, fake_matplotlib, word):
+        emb = write_lines(tmp_path / "emb.txt", [*EMB, f"{word} 0.3 -0.2 1.1 -0.7"])
+        out = tmp_path / "o"
+        assert main(["encode", "--embeddings", emb, "--seed", "1", "--out-dir", str(out)]) == 0
+        before = out_files(out)
+        assert main(["encode", "--embeddings", emb, "--seed", "2", "--plot-word", word,
+                     "--out-dir", str(out)]) == 2
+        assert f"raster_{word}.svg" in capsys.readouterr().err
+        assert out_files(out) == before  # no .w2s-*.tmp left either
 
 
 class TestDecodeCmd:
@@ -614,6 +633,52 @@ def test_flag_set_of_each_subcommand():
         for name, p in sub.choices.items()
     }
     assert flags == FLAGS
+
+
+# every codec flag at a value other than its default, and the field it sets
+CODEC_FLAGS = {
+    "--window-ms": ("300", "window_s", 0.3),
+    "--rate-plus": ("120", "rate_plus_hz", 120.0),
+    "--rate-minus": ("40", "rate_minus_hz", 40.0),
+    "--threshold": ("80", "threshold_hz", 80.0),
+    "--mode": ("lossless", "mode", "lossless"),
+    "--seed": ("7", "seed", 7),
+}
+
+
+@pytest.mark.parametrize("config_file", [False, True], ids=["flags", "flags-over-file"])
+def test_each_codec_flag_reaches_its_field(tmp_path, emb_file, config_file):
+    simlex = write_lines(tmp_path / "simlex.tsv", ["word1\tword2\tSimLex999", "cat\tdog\t7.0", "fox\towl\t5.0"])
+    # every key in the file, each at a value no flag gives
+    file_settings = {"window_s": 0.5, "rate_plus_hz": 90.0, "rate_minus_hz": 20.0,
+                     "threshold_hz": 30.0, "mode": "stochastic", "seed": 11}
+    base = dataclasses.asdict(CodecConfig())
+    argv_config = []
+    if config_file:
+        base.update(file_settings)
+        lines = [f"{key} = {value}" for key, value in file_settings.items()]
+        argv_config = ["--config", write_lines(tmp_path / "codec.cfg", lines)]
+    e, d, a, r = (tmp_path / name for name in "edar")
+    runs = {
+        e: ["encode", "--embeddings", emb_file],
+        d: ["decode", "--rasters", str(e / "rasters.jsonl")],
+        a: ["analyze"],
+        r: ["eval", "--embeddings", emb_file, "--simlex", simlex],
+    }
+    for out, argv in runs.items():
+        taken = {flag: CODEC_FLAGS[flag] for flag in FLAGS[argv[0]] if flag in CODEC_FLAGS}
+        flags = [arg for flag, (value, _, _) in taken.items() for arg in (flag, value)]
+        assert main([*argv, *argv_config, *flags, "--out-dir", str(out)]) == 0, argv[0]
+        config = json.loads(read(out / "manifest.json"))["config"]
+        assert config == {**base, **{field: value for _, field, value in taken.values()}}, argv[0]
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS))
+def test_help_of_each_subcommand_exits_0(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert "--out-dir" in capsys.readouterr().out
 
 
 def test_standin_analogy_file_parses():
