@@ -76,14 +76,18 @@ def _sha256(path: str) -> str:
 
 def write_manifest(args, cfg: CodecConfig | None, inputs: dict[str, str]) -> str:
     """The text of manifest.json, recording args.command_line."""
+    config = dataclasses.asdict(cfg) if cfg is not None else None
+    # a command without --seed (decode, analyze) reads neither the mode nor the seed
+    if config is not None and not hasattr(args, "seed"):
+        del config["mode"], config["seed"]
     manifest = {
         "command": args.command_line,
         # relative paths in the command resolve against this directory
         "cwd": os.getcwd(),
         "tool_version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
-        "config": dataclasses.asdict(cfg) if cfg is not None else None,
-        "seed": cfg.seed if cfg is not None else None,
+        "config": config,
+        "seed": config.get("seed") if config is not None else None,
         "inputs": {role: _sha256(p) for role, p in inputs.items() if p},
     }
     return json.dumps(manifest, indent=2) + "\n"
@@ -358,7 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plot-word", help="render one word's raster to SVG")
     p.set_defaults(func=cmd_encode)
 
-    # decoding and the error analysis read neither the mode nor the seed
+    # decoding and the error analysis read neither the mode nor the seed, so
+    # their manifests record neither
     p = sub.add_parser("decode", help="decode rasters back to ternary codes")
     p.add_argument("--rasters", required=True)
     _add_config_flags(p)

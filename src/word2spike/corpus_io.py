@@ -8,6 +8,7 @@ malformed input loudly, with line numbers; nothing is silently dropped.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -109,6 +110,78 @@ def _parse_float(text: str, path: str, lineno: int) -> float:
     return value
 
 
+# lines are parsed in blocks of about this many characters
+_BLOCK_CHARS = 2**16
+
+# every character str.isspace() holds for except " ", "\n" and "\r", which
+# universal newlines leave only as a line's final "\n": str.split() breaks
+# tokens at each of them, np.loadtxt does not
+_ASCII_SPACES = ("\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f")
+_UNICODE_SPACES = (
+    "\x85", "\xa0", "\u1680", "\u2000", "\u2001", "\u2002", "\u2003", "\u2004", "\u2005", "\u2006",
+    "\u2007", "\u2008", "\u2009", "\u200a", "\u2028", "\u2029", "\u202f", "\u205f", "\u3000",
+)
+
+
+def _blocks(items, size, limit: int):
+    """Lists of consecutive items, each closed once the ``size`` of its
+    items adds up to ``limit``."""
+    block, total = [], 0
+    for item in items:
+        block.append(item)
+        total += size(item)
+        if total >= limit:
+            yield block
+            block, total = [], 0
+    if block:
+        yield block
+
+
+def _header(line: str) -> tuple[int, int] | None:
+    """The ``count dim`` of an embedding file's first line, if it is one."""
+    parts = line.split()
+    # str.isdigit() holds for "²" too, which int() cannot read
+    if len(parts) == 2 and all(tok.isascii() and tok.isdigit() for tok in parts):
+        return int(parts[0]), int(parts[1])
+    return None
+
+
+def _parse_plain_block(lines: list[str], lowercase: bool, seen: set[str],
+                       dim: int | None) -> tuple[list[str], np.ndarray] | None:
+    """The tokens and the (len(lines), n) values of ``lines`` when each is
+    ``token v1 .. vn`` with single spaces and no other whitespace, every
+    value is finite, n equals ``dim`` (if not None) and no token repeats
+    or is in ``seen``; else None.
+
+    ``np.loadtxt`` reads a value as ``float()`` does, but refuses some
+    tokens ``float()`` takes (``1_000``, non-ASCII digits) and the empty
+    field that a double, leading or trailing space makes; such a block is
+    None too.
+    """
+    text = "".join(lines)
+    if any(ch in text for ch in _ASCII_SPACES):
+        return None
+    if not text.isascii() and any(ch in text for ch in _UNICODE_SPACES):
+        return None
+    tokens, rests = [], []
+    for line in lines:
+        token, _, rest = line.partition(" ")
+        # np.loadtxt skips a line without values, and warns if none has any
+        if not token or rest in ("", "\n"):
+            return None
+        tokens.append(token.lower() if lowercase else token)
+        rests.append(rest)
+    try:
+        values = np.loadtxt(rests, dtype=np.float64, delimiter=" ", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if dim is not None and values.shape[1] != dim:
+        return None
+    if not np.isfinite(values).all() or len(set(tokens)) != len(tokens) or not seen.isdisjoint(tokens):
+        return None
+    return tokens, values
+
+
 def load_embeddings(path: str, lowercase: bool = False) -> EmbeddingSet:
     """Load a text embedding file.
 
@@ -117,52 +190,69 @@ def load_embeddings(path: str, lowercase: bool = False) -> EmbeddingSet:
     non-finite values are rejected.  Lines end at ``\n``, ``\r`` or
     ``\r\n`` only; any other Unicode line break inside a line separates
     tokens like a space.
+
+    Lines are read in blocks of about _BLOCK_CHARS characters.  A block of
+    plain lines is parsed by one ``np.loadtxt`` call, and any other block
+    line by line, which gives every error its message and line number.
     """
     words: list[str] = []
-    rows: list[np.ndarray] = []
+    matrices: list[np.ndarray] = []
     seen: set[str] = set()
     dim: int | None = None
-    declared: tuple[int, int] | None = None
 
-    # lines are read one at a time and each kept only as its float64 row
     with open(path, encoding="utf-8", newline=None) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            # str.isdigit() holds for "²" too, which int() cannot read
-            if lineno == 1 and len(parts) == 2 and all(tok.isascii() and tok.isdigit() for tok in parts):
-                declared = (int(parts[0]), int(parts[1]))
+        first = fh.readline()
+        declared = _header(first)
+        lines = enumerate(fh, start=2)
+        if declared is None:
+            lines = itertools.chain([(1, first)], lines)
+        for block in _blocks(lines, lambda item: len(item[1]), _BLOCK_CHARS):
+            # before the first row, a header's dim is the one to match
+            expected = declared[1] if dim is None and declared is not None else dim
+            parsed = _parse_plain_block([line for _, line in block], lowercase, seen, expected)
+            if parsed is not None:
+                tokens, values = parsed
+                dim = values.shape[1]
+                seen.update(tokens)
+                words.extend(tokens)
+                matrices.append(values)
                 continue
-            if not parts:
-                continue
-            if len(parts) < 2:
-                raise CorpusFormatError(f"{path}:{lineno}: expected token and values")
-            token = parts[0].lower() if lowercase else parts[0]
-            if token in seen:
-                raise CorpusFormatError(f"{path}:{lineno}: duplicate token {token!r}")
-            # a sum is finite unless a value is not (or the sum overflows), so
-            # only a line failing float() or the sum is parsed again, value by
-            # value, for the first error's message
-            try:
-                values = list(map(float, parts[1:]))
-                finite = math.isfinite(sum(values))
-            except ValueError:
-                finite = False
-            if not finite:
-                values = [_parse_float(v, path, lineno) for v in parts[1:]]
-            if dim is None:
-                dim = len(values)
-                if declared is not None and declared[1] != dim:
+            rows: list[list[float]] = []
+            for lineno, line in block:
+                parts = line.split()
+                if not parts:
+                    continue
+                if len(parts) < 2:
+                    raise CorpusFormatError(f"{path}:{lineno}: expected token and values")
+                token = parts[0].lower() if lowercase else parts[0]
+                if token in seen:
+                    raise CorpusFormatError(f"{path}:{lineno}: duplicate token {token!r}")
+                # a sum is finite unless a value is not (or the sum overflows), so
+                # only a line failing float() or the sum is parsed again, value by
+                # value, for the first error's message
+                try:
+                    values = list(map(float, parts[1:]))
+                    finite = math.isfinite(sum(values))
+                except ValueError:
+                    finite = False
+                if not finite:
+                    values = [_parse_float(v, path, lineno) for v in parts[1:]]
+                if dim is None:
+                    dim = len(values)
+                    if declared is not None and declared[1] != dim:
+                        raise CorpusFormatError(
+                            f"{path}:{lineno}: line has {dim} values but header declares "
+                            f"dim {declared[1]}"
+                        )
+                elif len(values) != dim:
                     raise CorpusFormatError(
-                        f"{path}:{lineno}: line has {dim} values but header declares "
-                        f"dim {declared[1]}"
+                        f"{path}:{lineno}: line has {len(values)} values, expected {dim}"
                     )
-            elif len(values) != dim:
-                raise CorpusFormatError(
-                    f"{path}:{lineno}: line has {len(values)} values, expected {dim}"
-                )
-            seen.add(token)
-            words.append(token)
-            rows.append(np.array(values, dtype=np.float64))
+                seen.add(token)
+                words.append(token)
+                rows.append(values)
+            if rows:
+                matrices.append(np.array(rows, dtype=np.float64))
 
     if not words:
         raise CorpusFormatError(f"{path}: no embedding rows found")
@@ -170,7 +260,7 @@ def load_embeddings(path: str, lowercase: bool = False) -> EmbeddingSet:
         raise CorpusFormatError(
             f"{path}: header declares {declared[0]} rows, found {len(words)}"
         )
-    return EmbeddingSet(tuple(words), np.stack(rows))
+    return EmbeddingSet(tuple(words), np.concatenate(matrices))
 
 
 def load_simlex(path: str, lowercase: bool = False) -> list[SimilarityPair]:

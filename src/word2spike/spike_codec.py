@@ -28,6 +28,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from .corpus_io import _blocks
 from .quantizer import TernarySet, TernaryVector, _row_texts, quantize_all
 
 
@@ -548,20 +549,6 @@ def _records(words, rasters):
     return zip(words, rasters)
 
 
-def _blocks(items, size):
-    """Lists of consecutive items, each closed once the ``size`` of its
-    items adds up to _BLOCK_SPIKES."""
-    block, total = [], 0
-    for item in items:
-        block.append(item)
-        total += size(item)
-        if total >= _BLOCK_SPIKES:
-            yield block
-            block, total = [], 0
-    if block:
-        yield block
-
-
 def write_raster_jsonl(path: str, words, rasters) -> None:
     """JSON Lines raster export: one record per word, times in ms (3 dp).
 
@@ -572,7 +559,8 @@ def write_raster_jsonl(path: str, words, rasters) -> None:
     """
     records = _records(words, rasters)
     with open(path, "wb") as fh:
-        for block in _blocks(records, lambda record: int(record[1].counts().sum()) + len(record[1])):
+        blocks = _blocks(records, lambda record: int(record[1].counts().sum()) + len(record[1]), _BLOCK_SPIKES)
+        for block in blocks:
             fh.write(_format_records(block))
 
 
@@ -642,7 +630,7 @@ def read_raster_jsonl(path: str) -> tuple[list[str], list[SpikeRaster]]:
         lines = ((lineno, line) for lineno, line in enumerate(fh, start=1) if not line.isspace())
         # a time and its comma take at least 4 characters, so the parsing
         # arrays of a block of _BLOCK_SPIKES characters stay small
-        for block in _blocks(lines, lambda item: len(item[1])):
+        for block in _blocks(lines, lambda item: len(item[1]), _BLOCK_SPIKES):
             parsed = _parse_block([line for _, line in block]) or [None] * len(block)
             for (lineno, line), record in zip(block, parsed):
                 try:
@@ -817,7 +805,7 @@ def write_counts_csv(path: str, words, rasters) -> None:
     # writerow returns what its file's write returns: here the row's text
     csv_row = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
     with open(path, "wb") as fh:
-        for block in _blocks(records, lambda record: len(record[1])):
+        for block in _blocks(records, lambda record: len(record[1]), _BLOCK_SPIKES):
             lanes = _decimal_lanes(np.concatenate([raster.counts() for _, raster in block]))
             lanes[:, 0] |= _COMMA
             texts = _row_texts(lanes.view(np.uint8), np.cumsum([len(raster) for _, raster in block]).tolist())

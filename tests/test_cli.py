@@ -669,8 +669,13 @@ def test_each_codec_flag_reaches_its_field(tmp_path, emb_file, config_file):
         taken = {flag: CODEC_FLAGS[flag] for flag in FLAGS[argv[0]] if flag in CODEC_FLAGS}
         flags = [arg for flag, (value, _, _) in taken.items() for arg in (flag, value)]
         assert main([*argv, *argv_config, *flags, "--out-dir", str(out)]) == 0, argv[0]
-        config = json.loads(read(out / "manifest.json"))["config"]
-        assert config == {**base, **{field: value for _, field, value in taken.values()}}, argv[0]
+        manifest = json.loads(read(out / "manifest.json"))
+        expected = {**base, **{field: value for _, field, value in taken.values()}}
+        # a command without --seed records neither the mode nor the seed
+        if "--seed" not in FLAGS[argv[0]]:
+            del expected["mode"], expected["seed"]
+        assert manifest["config"] == expected, argv[0]
+        assert manifest["seed"] == expected.get("seed"), argv[0]
 
 
 @pytest.mark.parametrize("command", sorted(FLAGS))

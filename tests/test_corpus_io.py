@@ -1,10 +1,14 @@
+import sys
 import tracemalloc
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from word2spike import corpus_io
 from word2spike.corpus_io import (
     CorpusFormatError,
     EmbeddingSet,
@@ -179,6 +183,113 @@ class TestLoadEmbeddings:
         back = load_embeddings(str(path))
         assert back.words == es.words
         assert np.array_equal(back.vectors, es.vectors)
+
+
+# a valid file with single spaces, and then a few edits, each of which can
+# send a block to the per-line loop
+FLOAT_TEXTS = st.floats(allow_nan=False, allow_infinity=False, width=64).flatmap(
+    lambda v: st.sampled_from([repr(v), f"{v:.6f}", f"{v:.3e}", f"{v:.17g}"])
+)
+ODD_VALUES = st.sampled_from(["-0", "+1", ".5", "5.", "1E3", "nan", "-NaN", "inf", "-Infinity", "1e999",
+                              "1_000", "#", "x", "", "0x10", "\u0661", "\u00b2", "1\x00"])
+SPACES = st.sampled_from(["  ", "\t", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0", "\u2003", "\u2028",
+                          "\u3000"])
+LINE_ENDS = st.sampled_from(["\r\n", "\r", " \n", "\t\n", "\u2029\n", "\x85\n"])
+
+
+@st.composite
+def embedding_texts(draw):
+    """The text of an embedding file: rows of one dimension, sometimes a
+    header, then edits that make odd values, other whitespace, blank
+    lines, repeated tokens and other dimensions, anywhere in the file."""
+    dim = draw(st.integers(1, 3))
+    words = draw(st.lists(st.text(alphabet="abB#\u00e912", min_size=1, max_size=3), max_size=8, unique=True))
+    # [lead, token, [separator + value, ..], end] per line
+    rows = [["", word, [" " + draw(FLOAT_TEXTS) for _ in range(dim)], "\n"] for word in words]
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        lead, token, values, end = row = draw(st.sampled_from(rows))
+        kind = draw(st.sampled_from(["value", "space", "lead", "end", "dim", "repeat", "blank"]))
+        at = draw(st.integers(0, len(values) - 1)) if values else 0
+        if kind == "value" and values:
+            values[at] = values[at][0] + draw(ODD_VALUES)
+        elif kind == "space" and values:
+            values[at] = draw(SPACES) + values[at][1:]
+        elif kind == "lead":
+            row[0] = draw(st.sampled_from([" ", "\t", "\u2028"]))
+        elif kind == "end":
+            row[3] = draw(LINE_ENDS)
+        elif kind == "dim":
+            row[2] = values[1:] if draw(st.booleans()) else values + [" 1"]
+        elif kind == "repeat":
+            row[1] = draw(st.sampled_from(rows))[1]
+        else:
+            rows.insert(rows.index(row), ["", draw(st.sampled_from(["", "  ", "\t"])), [], "\n"])
+    header = draw(st.sampled_from(["", f"{len(words)} {dim}\n", f"{len(words)} {dim + 1}\n", "9 9\n",
+                                   f"{len(words)}  {dim}\n", "\u00b2 3\n"]))
+    text = header + "".join(lead + token + "".join(values) + end for lead, token, values, end in rows)
+    return text[:-1] if text.endswith("\n") and draw(st.booleans()) else text
+
+
+def load_outcome(path, lowercase):
+    """The words and vectors of a file, or the text of its format error."""
+    try:
+        es = load_embeddings(path, lowercase=lowercase)
+    except CorpusFormatError as exc:
+        return str(exc)
+    return es.words, es.vectors
+
+
+class TestBulkParse:
+    @settings(max_examples=400, deadline=None)
+    @given(embedding_texts(), st.booleans(), st.sampled_from([1, 3, 7, corpus_io._BLOCK_CHARS]))
+    def test_same_result_as_the_per_line_loop(self, tmp_path_factory, text, lowercase, block):
+        path = tmp_path_factory.mktemp("bulk") / "e.txt"
+        path.write_text(text, encoding="utf-8", newline="")
+        with mock.patch.object(corpus_io, "_BLOCK_CHARS", block):
+            # np.loadtxt warns of input without data; no block reaches it so
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                bulk = load_outcome(str(path), lowercase)
+            with mock.patch.object(corpus_io, "_parse_plain_block", lambda *args: None):
+                per_line = load_outcome(str(path), lowercase)
+        if isinstance(per_line, str):
+            assert bulk == per_line
+        else:
+            assert bulk[0] == per_line[0]
+            # bit-equal, so -0.0 and 0.0 differ
+            assert bulk[1].tobytes() == per_line[1].tobytes()
+
+    def test_plain_block_is_parsed_in_bulk(self):
+        lines = ["a 1 -0 2.5e-3\n", "B 1_0 3 4\n", "c 5 6 7"]
+        assert _parse(lines) is None  # 1_000 is float() syntax that np.loadtxt refuses
+        lines[1] = "B 10 3 4\n"
+        tokens, values = _parse(lines, lowercase=True)
+        assert tokens == ["a", "b", "c"]
+        assert values.tobytes() == np.array([[1, -0.0, 2.5e-3], [10, 3, 4], [5, 6, 7]]).tobytes()
+
+    @pytest.mark.parametrize("line", [
+        "b 1\t2\n", "b 1\u20282\n", "b 1\xa02\n", "b 1  2\n", " b 1 2\n", "b 1 2 \n", "b\n", "b \n",
+        " \n", "b 1 nan\n", "b 1 1e999\n", "a 1 2\n", "b 1\n", "b 1 x\n",
+    ])
+    def test_any_other_block_goes_line_by_line(self, line):
+        assert _parse(["a 1 2\n", line]) is None
+
+    def test_dimension_and_tokens_are_checked_against_earlier_blocks(self):
+        assert _parse(["b 1 2\n"], dim=2) is not None
+        assert _parse(["b 1 2\n"], dim=3) is None
+        assert _parse(["b 1 2\n"], seen={"b"}) is None
+
+    # str.split() breaks tokens at these, so the bulk parse must send them
+    # to the per-line loop; universal newlines leave no "\r" in a line
+    def test_whitespace_lists_hold_every_other_isspace_character(self):
+        spaces = {chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()}
+        assert set(corpus_io._ASCII_SPACES + corpus_io._UNICODE_SPACES) == spaces - {" ", "\n", "\r"}
+        assert all(ch.isascii() for ch in corpus_io._ASCII_SPACES)
+        assert not any(ch.isascii() for ch in corpus_io._UNICODE_SPACES)
+
+
+def _parse(lines, lowercase=False, seen=(), dim=None):
+    return corpus_io._parse_plain_block(lines, lowercase, set(seen), dim)
 
 
 class TestLoadSimlex:

@@ -53,26 +53,26 @@ GOLDEN = {
     "encode-paper-200ms-lossless/manifest.json": "805bd5712037926177d56433391246c466c590a13ac2d8e5fc3c99a4ec1cf578",
     "encode-paper-200ms-lossless/rasters.jsonl": "fbdf3e94b97c71e51185127fda171692f0ecf0195a3bc399a1655a0ceba6516b",
     "decode-paper-200ms-lossless/decoded.txt": "6b608c6223333080d27e8953c5b0dcbc8f9b81ae06fc8b9780543d27791b6441",
-    "decode-paper-200ms-lossless/manifest.json": "a91a8b75c138b9a54c704728a3a795703e7a3a743ceda68b110bd400d947dfba",
+    "decode-paper-200ms-lossless/manifest.json": "2c9ed955745b06120ef4c752ef3e602d85f121a4e13061d79874ea98fb3d509b",
     "encode-paper-200ms-stochastic/counts.csv": "2ef4a4ffedaff1579aeb4febbb4384cad0cf145c2ffc22635bd2d24d347457c2",
     "encode-paper-200ms-stochastic/manifest.json": "2b261c7401981abfaa64eefb5f3b8576e57a76f827bb227d11c56c38ae14b835",
     "encode-paper-200ms-stochastic/rasters.jsonl": "69d6df9c7cf447c4f943fb9a20c5a9874c00ab37a92f1ce7f0f28330aa976d59",
     "decode-paper-200ms-stochastic/decoded.txt": "2e4801a31ddfcb4291144177d9cc0655ca02af3ae97d5df3363b3367f79640c1",
-    "decode-paper-200ms-stochastic/manifest.json": "0cea33f2d1353733ab39f2cd32ea7fe0e2a83a1739a1a30a219b70e7a14e4718",
+    "decode-paper-200ms-stochastic/manifest.json": "c69cd745d2159ceffe2d56fba8e570ce9b548eefd11ca78ea07e0aa616295f23",
     "encode-paper-400ms-lossless/counts.csv": "dab4321c0692f2966a22ae3a87ab31a023a93a9463f2f2c57dd519564d634ecd",
     "encode-paper-400ms-lossless/manifest.json": "9b5e7ff57e8b3080b5129d260488b0d238bbd3110cf85f8bdc2cf0e8ee0781ea",
     "encode-paper-400ms-lossless/rasters.jsonl": "2d38d33d3af7ab0a97cb46540b7e8aeec60f2d5564d25922b298eba92d3f81ce",
     "decode-paper-400ms-lossless/decoded.txt": "6b608c6223333080d27e8953c5b0dcbc8f9b81ae06fc8b9780543d27791b6441",
-    "decode-paper-400ms-lossless/manifest.json": "f3f9f41a6715254dff03eacbca5d924ad61ead62b2df81379508a2990fbdf869",
+    "decode-paper-400ms-lossless/manifest.json": "f282802690877bc33307001cc40e4ad9628d9324e5269992a5ddd71adc737d42",
     "encode-paper-400ms-stochastic/counts.csv": "4b882e1d90615ee4ee29350b2159784de1760caafe4dc68a3cd402a5f902d889",
     "encode-paper-400ms-stochastic/manifest.json": "7a83c263bbc9e29edc8b0f29d186f965056ecb711a1dd398e1be894d9c15893f",
     "encode-paper-400ms-stochastic/rasters.jsonl": "aa558b5e834c5d7f4dca2a955f6451ed2d76c2376bf6d00e21085b229115b47d",
     "decode-paper-400ms-stochastic/decoded.txt": "6b608c6223333080d27e8953c5b0dcbc8f9b81ae06fc8b9780543d27791b6441",
-    "decode-paper-400ms-stochastic/manifest.json": "50edd945de35ded21b18fad42b4b8c8acecf2648ece4223da9c9cfe4a13fd5f0",
+    "decode-paper-400ms-stochastic/manifest.json": "bb83c9232541aa9d071bd5a9f8a79320d032b2aae9609559075d5b7dec81e0ab",
     "analyze-paper-200ms/analysis.json": "e646c1201f101746b611c72c9ebc1965dd6529eeaa67e89bd033b9d8b0fb0f77",
-    "analyze-paper-200ms/manifest.json": "315e33511ea28d25e05c333e27fbd3c20e9879b6488e7ba45cb01476faf04247",
+    "analyze-paper-200ms/manifest.json": "444870a94d901ad733aa452996e62d298dd425c59c416b36a6962eec4157827b",
     "analyze-paper-400ms/analysis.json": "6f0539688ce3655aa17a2283b6c9e1880d53245a1fe2042296af78cc3278a8d9",
-    "analyze-paper-400ms/manifest.json": "0ea3d7a4f6874bd132a475ce0fa338e41e49d50bc8abf699c999bec8bc524859",
+    "analyze-paper-400ms/manifest.json": "9f393548851e4a93a71436cec2be9bdc91ae2d6bf81b332f9b36ac05fdff6917",
     "eval-lossless/manifest.json": "ad0a5ef893d29c93e8ac4e311e99b881ff17691ebbcf61980474472c1e4c3af1",
     "eval-lossless/report.json": "743a9e96f31d48c659a03fb3a2b2fc3c71195f8f6af7be6fd20636ab9eeb9721",
     "eval-lossless/report.txt": "c25408d3f55582e08de0d8e17d15f5f2bc6b33d6a34522cf70de3a143940b31c",

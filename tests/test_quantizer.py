@@ -113,6 +113,17 @@ def test_load_ternary_rejects_fraction(tmp_path):
         load_ternary(str(path))
 
 
+# the line is found by reading the file again, past a header and blank
+# lines; 1e0, +1 and 1.0 are codes, written another way
+@pytest.mark.parametrize("header", ["", "3 3\n"])
+def test_load_ternary_error_names_line_and_token(tmp_path, header):
+    path = tmp_path / "t.txt"
+    path.write_text(header + "\na 1 0 -1\nb 1e0 +1 1.0\n  \nc -1 0.50 2\n", encoding="utf-8")
+    with pytest.raises(CorpusFormatError) as exc:
+        load_ternary(str(path))
+    assert str(exc.value) == f"{path}:{5 + bool(header)}: values outside {{-1, 0, 1}}: '0.50'"
+
+
 @settings(max_examples=300, deadline=None)
 @given(finite_vectors)
 def test_sign_symmetry(v):
