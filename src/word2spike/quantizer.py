@@ -64,9 +64,9 @@ class TernarySet:
 def _absmean(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-row gammas mean(|w|) and ternary codes of an (n, d) matrix."""
     gammas = np.mean(np.abs(vectors), axis=1)
-    codes = np.zeros(vectors.shape, dtype=np.int8)
-    codes[vectors > gammas[:, None]] = 1
-    codes[vectors < -gammas[:, None]] = -1
+    # 1 - 0 above +gamma, 0 - 1 below -gamma, 0 - 0 between
+    codes = (vectors > gammas[:, None]).view(np.int8)
+    codes -= (vectors < -gammas[:, None]).view(np.int8)
     return gammas, codes
 
 

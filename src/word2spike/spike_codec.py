@@ -9,8 +9,10 @@ the window.  Lossless mode emits exactly round(rate * window) evenly spaced
 spikes, and accepts only configs where those counts decode back to their
 codes, so it guarantees perfect decode.  Decoding is purely count-based:
 zero spikes -> 0, count >= ceil(threshold * window) -> +1, anything else
--> -1.  So a generated raster draws its counts at once and makes its spike
-times only when they are first read.
+-> -1.  So a generated raster holds its counts only and makes its spike
+times again at every read, and a raster read back from JSONL in the
+writer's own form holds integer microsecond ticks and makes its times from
+them at every read.
 
 All error probabilities are computed by exact Poisson summation, never a
 normal approximation.
@@ -177,7 +179,8 @@ class RateVector:
         rates = np.asarray(self.rates_hz, dtype=np.float64)
         if rates.ndim != 1:
             raise ValueError("rates must be one-dimensional")
-        if not np.all(np.isfinite(rates)) or np.any(rates < 0):
+        # NaN fails both comparisons
+        if rates.size and not (rates.min() >= 0 and rates.max() < np.inf):
             raise ValueError("rates must be finite and nonnegative")
         object.__setattr__(self, "rates_hz", rates)
 
@@ -191,13 +194,17 @@ class SpikeRaster:
     the i-th piece of ``np.split(times, np.cumsum(counts()[:-1]))``.
 
     A raster from ``generate_raster`` holds its counts only, and makes its
-    times at the first read of ``times`` (also in ``validate()``), from the
-    same stream as its counts; later reads return the same array.  That
-    first read sets state, so a generated raster must not be read from two
-    threads at once.
+    times at every read of ``times`` (also in ``validate()``): a stochastic
+    one draws them from its own stream after its counts and then puts the
+    stream's state back, so every read returns bit-equal times.  A raster
+    that ``read_raster_jsonl`` parses on its array path holds unsigned
+    microsecond ticks, 4 bytes a spike below 2**32 µs, and makes its times
+    from them at every read.  A read of a stochastic raster sets and
+    restores state, so such a raster must not be read from two threads at
+    once.
     """
 
-    __slots__ = ("window_s", "_times", "_counts", "_rng")
+    __slots__ = ("window_s", "_times", "_ticks", "_counts", "_rng")
 
     def __init__(self, window_s: float, times, counts):
         times = np.asarray(times, dtype=np.float64)
@@ -208,26 +215,39 @@ class SpikeRaster:
             raise ValueError("counts must be nonnegative and sum to the number of spike times")
         self.window_s = window_s
         self._times = times
+        self._ticks = None
         self._counts = counts
         self._rng = None
 
     @classmethod
-    def _deferred(cls, window_s: float, counts: np.ndarray, rng) -> SpikeRaster:
-        """A raster whose times ``_spike_times`` makes at their first read:
-        evenly spaced when ``rng`` is None, else drawn from ``rng``."""
+    def _deferred(cls, window_s: float, counts: np.ndarray, rng=None, ticks=None) -> SpikeRaster:
+        """A raster that makes its times at every read: from the
+        microsecond ``ticks`` if given, else by ``_spike_times``, evenly
+        spaced when ``rng`` is None and drawn from ``rng`` otherwise."""
         raster = cls.__new__(cls)
         raster.window_s = window_s
         raster._times = None
+        raster._ticks = ticks
         raster._counts = counts
         raster._rng = rng
         return raster
 
     @property
     def times(self) -> np.ndarray:
-        if self._times is None:
-            self._times = _spike_times(self._counts, self.window_s, self._rng)
-            self._rng = None
-        return self._times
+        if self._times is not None:
+            return self._times
+        if self._ticks is not None:
+            # (ticks / 1000.0) / 1000.0, the arithmetic of the reader's json path
+            times = self._ticks / 1000.0
+            times /= 1000.0
+            return times
+        if self._rng is None:
+            return _spike_times(self._counts, self.window_s, None)
+        state = self._rng.bit_generator.state
+        try:
+            return _spike_times(self._counts, self.window_s, self._rng)
+        finally:
+            self._rng.bit_generator.state = state
 
     def __len__(self) -> int:
         return len(self._counts)
@@ -278,15 +298,15 @@ def generate_raster(rates: RateVector, cfg: CodecConfig, stream_id: int) -> Spik
     processing order or parallelism.  Lossless mode emits round(rate *
     window) evenly spaced spikes per dimension.
 
-    Only the counts are drawn here.  The times are made at the first read
-    of ``times``: the stochastic ones continue the raster's own stream
-    after its counts, so they are the same whenever and in whatever order
-    rasters are read.  Decoding reads counts only, so ``roundtrip`` and
-    ``eval`` make no spike times.
+    Only the counts are drawn here.  The times are made at every read of
+    ``times``: the stochastic ones continue the raster's own stream after
+    its counts, which each read puts back, so they are the same whenever,
+    how often and in whatever order rasters are read.  Decoding reads
+    counts only, so ``roundtrip`` and ``eval`` make no spike times.
     """
     window = cfg.window_s
     if cfg.mode == "lossless":
-        return SpikeRaster._deferred(window, _lossless_counts(rates.rates_hz, window), None)
+        return SpikeRaster._deferred(window, _lossless_counts(rates.rates_hz, window))
     rng = np.random.default_rng([cfg.seed, stream_id])
     return SpikeRaster._deferred(window, rng.poisson(rates.rates_hz * window), rng)
 
@@ -325,7 +345,8 @@ def decode(raster: SpikeRaster, cfg: CodecConfig) -> TernaryVector:
 
 
 def _decode_counts(counts: np.ndarray, count_threshold: int) -> np.ndarray:
-    return np.where(counts == 0, 0, np.where(counts >= count_threshold, 1, -1)).astype(np.int8)
+    # 2 - 1 at or above the threshold, 0 - 1 below it, 0 - 0 at no spikes
+    return (counts >= count_threshold).view(np.int8) * np.int8(2) - (counts > 0).view(np.int8)
 
 
 @dataclass(frozen=True)
@@ -543,9 +564,15 @@ def _decimal_lanes(values: np.ndarray) -> np.ndarray:
 
 def _records(words, rasters):
     """The (word, raster) pairs to write; ValueError, before a byte is
-    written, if there are not as many words as rasters."""
+    written, if there are not as many words as rasters, or if a raster has
+    no dimension or not as many as the first, as the reader requires."""
     if len(words) != len(rasters):
         raise ValueError(f"{len(words)} words for {len(rasters)} rasters")
+    for word, raster in zip(words, rasters):
+        if len(raster) == 0:
+            raise ValueError(f"word {word!r}: a raster must hold at least one dimension")
+        if len(raster) != len(rasters[0]):
+            raise ValueError(f"word {word!r}: {len(raster)} dimensions, the first raster has {len(rasters[0])}")
     return zip(words, rasters)
 
 
@@ -581,7 +608,7 @@ def _format_records(block) -> bytes:
     ticks = np.rint((times * 1000.0) * 1000.0)
     bad = np.signbit(times) | ~(ticks < 1e12)  # NaN compares false
     if bad.any():
-        spikes = np.cumsum([len(r.times) for r in rasters])
+        spikes = np.cumsum([r.counts().sum() for r in rasters])
         word = block[int(np.searchsorted(spikes, np.argmax(bad), side="right"))][0]
         raise ValueError(f"word {word!r}: spike times must be finite, nonnegative and below 1e9 ms")
     # below 1e12 ticks, the shortest repr of ticks / 1000 is its decimal
@@ -623,6 +650,8 @@ def read_raster_jsonl(path: str) -> tuple[list[str], list[SpikeRaster]]:
     ``write_raster_jsonl`` writes is parsed with array operations, and
     any other block goes line by line through ``json``; both give the
     same words, windows, counts and times, and both run the same checks.
+    A raster from the array path keeps its microsecond ticks and makes
+    its times from them at each read; one from ``json`` keeps float times.
     """
     words, rasters = [], []
     line_of: dict[str, int] = {}
@@ -636,9 +665,11 @@ def read_raster_jsonl(path: str) -> tuple[list[str], list[SpikeRaster]]:
                 try:
                     if record is None:
                         word, window_s, counts, times = _parse_record(line)
+                        raster = SpikeRaster(window_s, times, counts)
                     else:
-                        head, counts, times = record
+                        head, counts, ticks = record
                         word, window_s = _record_head(head)
+                        raster = SpikeRaster._deferred(window_s, counts, ticks=ticks)
                     if word in line_of:
                         raise ValueError(f"word {word!r} repeats line {line_of[word]}")
                     if rasters and len(counts) != len(rasters[0]):
@@ -648,7 +679,7 @@ def read_raster_jsonl(path: str) -> tuple[list[str], list[SpikeRaster]]:
                     raise ValueError(f"{path}:{lineno}: bad raster record: {exc}") from exc
                 line_of[word] = lineno
                 words.append(word)
-                rasters.append(SpikeRaster(window_s, times, counts))
+                rasters.append(raster)
     return words, rasters
 
 
@@ -692,7 +723,7 @@ _TRAINS_KEY = ',"trains":['
 
 
 def _parse_block(lines: list[str]) -> list | None:
-    """(head, counts, times) for each line when every line ends in trains
+    """(head, counts, ticks) for each line when every line ends in trains
     of the form ``write_raster_jsonl`` writes, else None; a head is the
     dict ``json`` reads from the text before ``"trains"``.
 
@@ -718,20 +749,20 @@ def _parse_block(lines: list[str]) -> list | None:
     parsed = _parse_trains(",".join(segments).encode())
     if parsed is None:
         return None
-    opens, counts, times = parsed
+    opens, counts, ticks = parsed
     line_starts = np.cumsum([0] + [len(segment) + 1 for segment in segments])
     train_bounds = np.searchsorted(opens, line_starts)
     spike_bounds = np.concatenate(([0], np.cumsum(counts)))[train_bounds].tolist()
     train_bounds = train_bounds.tolist()
     return [
-        (head, counts[train_bounds[i]:train_bounds[i + 1]], times[spike_bounds[i]:spike_bounds[i + 1]])
+        (head, counts[train_bounds[i]:train_bounds[i + 1]], ticks[spike_bounds[i]:spike_bounds[i + 1]])
         for i, head in enumerate(heads)
     ]
 
 
 def _parse_trains(text: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """The offsets of the trains, their spike counts and the times (s) of
-    ``text``, which starts with "[" and ends with "]", when it is exactly
+    """The offsets of the trains, their spike counts and the microsecond
+    ticks of ``text``, which starts with "[" and ends with "]", when it is exactly
     ``[T,..,T],..,[T,..,T]``, a train possibly empty and each T matching
     ``(0|[1-9][0-9]{0,9})\\.[0-9]{1,3}``; else None.  The checks prove
     that form:
@@ -749,9 +780,12 @@ def _parse_trains(text: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray] | No
       one of none at least 0.  The commas in trains add up to exactly
       these least values only if every train is ``[]`` or ``[T,..,T]``.
 
-    A time I.FFF reads as (I * 1000 + FFF) / 1000.0 ms: both are exact
-    below 2**53 and division rounds correctly, so this is the float
-    ``json`` reads, which is then divided by 1000.0 as on ``json``'s path.
+    A time I.FFF ms is the tick I * 1000 + FFF, below 10**13, returned as
+    uint32 when every tick of ``text`` is below 2**32 and as uint64
+    otherwise.  (tick / 1000.0) / 1000.0 is then the time ``json``'s path
+    reads: both numbers are exact below 2**53, so the first division
+    rounds to the float ``json`` reads in ms, and the second is the one
+    that path makes.
     """
     # four zero bytes let the gathers after a dot run past the end
     buf = np.frombuffer(text + bytes(4), np.uint8)
@@ -791,9 +825,9 @@ def _parse_trains(text: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray] | No
     if (n_commas + len(brackets) + int(n_int.sum(dtype=np.int64) + (ends - dots).sum()) != len(text)
             or n_commas - (len(opens) - 1) != len(dots) - np.count_nonzero(counts)):
         return None
-    times = ticks / 1000.0
-    times /= 1000.0
-    return opens, counts, times
+    # numpy 1.x would divide a narrower integer type in float16 or float32
+    wide = ticks.size and ticks.max() >= 2**32
+    return opens, counts, ticks.astype(np.uint64 if wide else np.uint32)
 
 
 def write_counts_csv(path: str, words, rasters) -> None:
@@ -809,9 +843,8 @@ def write_counts_csv(path: str, words, rasters) -> None:
             lanes = _decimal_lanes(np.concatenate([raster.counts() for _, raster in block]))
             lanes[:, 0] |= _COMMA
             texts = _row_texts(lanes.view(np.uint8), np.cumsum([len(raster) for _, raster in block]).tolist())
-            # a word without counts is a row of its own, which csv writes
-            # differently when the word is empty
+            # the word as csv writes a first field, then its counts, each
+            # after a comma
             fh.write(b"".join(
-                csv_row((word, ""))[:-2].encode() + counts + b"\n" if counts else csv_row((word,)).encode()
-                for (word, _), counts in zip(block, texts)
+                csv_row((word, ""))[:-2].encode() + counts + b"\n" for (word, _), counts in zip(block, texts)
             ))

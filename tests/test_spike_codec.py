@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -310,18 +311,26 @@ class TestDeferredTimes:
         cfg, specs = requests
         rasters = [generate_raster(rates, cfg, stream_id) for rates, stream_id in specs]
         oracles = [eager_generate_raster(rates, cfg, stream_id) for rates, stream_id in specs]
-        # every raster is generated before the first one is read
-        for i in data.draw(st_h.permutations(range(len(specs)))):
+        # every raster is generated before the first one is read, and each
+        # is read twice, in the drawn order
+        for i in data.draw(st_h.permutations(list(range(len(specs))) * 2)):
             assert rasters[i].counts().tolist() == oracles[i].counts().tolist()
             assert rasters[i].times.tobytes() == oracles[i].times.tobytes()
 
     @pytest.mark.parametrize("mode", MODES)
-    def test_times_are_made_once(self, mode):
+    def test_reads_are_bit_equal(self, mode):
         cfg = CodecConfig(mode=mode, seed=3)
-        raster = generate_raster(RateVector(np.array([100.0, 0.0, 50.0])), cfg, 0)
-        first = raster.times
-        raster.validate()
-        assert raster.times is first
+        a, b = (generate_raster(RateVector(np.array([100.0, 0.0, 50.0])), cfg, i) for i in range(2))
+        first_a = a.times.tobytes()
+        a.validate()
+        assert a.times.tobytes() == first_a
+        # reading a, then b, then a again changes neither raster's times
+        first_b = b.times.tobytes()
+        assert a.times.tobytes() == first_a
+        assert b.times.tobytes() == first_b
+        # a read returns an array of its own
+        a.times[:] = -1.0
+        assert a.times.tobytes() == first_a
 
     def test_counts_need_no_times(self, no_spike_times):
         raster = generate_raster(RateVector(np.array([100.0, 50.0])), CodecConfig(seed=3), 0)
@@ -623,8 +632,8 @@ SPIKE_TIMES = {window_s: spike_times(window_s) for window_s in (0.2, 0.4, 1.0, 1
 
 @st_h.composite
 def raster_records(draw):
-    """Rasters with any dimension, zero and all-empty ones included."""
-    n_dims = draw(st_h.integers(0, 6))
+    """Rasters with any nonzero dimension, all-empty ones included."""
+    n_dims = draw(st_h.integers(1, 6))
     rasters = []
     for _ in range(draw(st_h.integers(1, 5))):
         window_s = draw(st_h.sampled_from(sorted(SPIKE_TIMES)))
@@ -651,11 +660,11 @@ SPIKE_COUNTS = st_h.one_of(st_h.sampled_from([0, 999, 1000, 10**6, 10**12]), st_
 @st_h.composite
 def count_records(draw):
     """Words, none to several, and rasters of their counts only (their
-    times are never made), any dimension including zero."""
-    n_dims = draw(st_h.integers(0, 6))
+    times are never made), any nonzero dimension."""
+    n_dims = draw(st_h.integers(1, 6))
     words = draw(st_h.lists(st_h.text(WORD_CHARACTERS, max_size=4), max_size=5))
     counts = st_h.lists(SPIKE_COUNTS, min_size=n_dims, max_size=n_dims)
-    return words, [SpikeRaster._deferred(0.2, np.array(draw(counts), np.int64), None) for _ in words]
+    return words, [SpikeRaster._deferred(0.2, np.array(draw(counts), np.int64)) for _ in words]
 
 
 class TestSerialization:
@@ -768,6 +777,19 @@ class TestSerialization:
         path = tmp_path / "out"
         with pytest.raises(ValueError, match=f"^{n_words} words for {n_rasters} rasters$"):
             write(str(path), ["a", "b"][:n_words], [raster_from_counts([1, 2])] * n_rasters)
+        assert not path.exists()
+
+    # the two cases read_raster_jsonl refuses, which no writer may write
+    @pytest.mark.parametrize("write", [write_raster_jsonl, write_counts_csv])
+    @pytest.mark.parametrize("counts, message", [
+        ([[], []], "word 'a': a raster must hold at least one dimension"),
+        ([[1, 2], []], "word 'b': a raster must hold at least one dimension"),
+        ([[1, 2], [1, 0, 3]], "word 'b': 3 dimensions, the first raster has 2"),
+    ], ids=["first without dimension", "later without dimension", "unequal dimensions"])
+    def test_writers_reject_rasters_the_reader_refuses(self, tmp_path, write, counts, message):
+        path = tmp_path / "out"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            write(str(path), ["a", "b"], [raster_from_counts(c) for c in counts])
         assert not path.exists()
 
     def test_counts_csv_quotes_commas_and_quotes(self, tmp_path):
@@ -890,10 +912,9 @@ class TestRasterReader:
         write_raster_jsonl(path, words, rasters)
         with mock.patch.object(spike_codec, "_BLOCK_SPIKES", block):
             assert outcome(read_raster_jsonl, path) == outcome(read_through_json, path)
-        # the writer's own lines take the array path whenever they have a dimension
+        # the writer's own lines always take the array path
         with open(path, encoding="utf-8") as fh:
-            parsed = spike_codec._parse_block(fh.readlines())
-        assert (parsed is not None) == (len(rasters[0]) > 0)
+            assert spike_codec._parse_block(fh.readlines()) is not None
 
     @pytest.mark.parametrize("block", [1, 3, 7, 2**16])
     def test_stochastic_file_matches_json_reference(self, tmp_path, block):
@@ -911,6 +932,19 @@ class TestRasterReader:
         assert outcome(read_raster_jsonl, str(path)) == expected
         if name.startswith("canonical"):
             assert re.fullmatch(r"ValueError: .*r\.jsonl:2: bad raster record: .*", expected)
+
+    def test_wide_ticks_match_json_reference(self, tmp_path):
+        # 5000 s is 5e9 µs, past 2**32 µs; the second raster's ticks fit in 32 bits
+        rasters = [SpikeRaster(5000.0, [0.5, 4294.967295, 4294.967296, 4999.999999], [1, 3]),
+                   SpikeRaster(5000.0, [4294.967295], [0, 1])]
+        path = str(tmp_path / "r.jsonl")
+        write_raster_jsonl(path, ["a", "b"], rasters)
+        # a block a line, so each line's ticks take their own type
+        with mock.patch.object(spike_codec, "_BLOCK_SPIKES", 1):
+            _, back = read_raster_jsonl(path)
+            assert outcome(read_raster_jsonl, path) == outcome(read_through_json, path)
+        assert [r._ticks.dtype for r in back] == [np.uint64, np.uint32]
+        assert [t.tolist() for t in trains(back[0])] == [[0.5], [4294.967295, 4294.967296, 4999.999999]]
 
     def test_last_line_without_newline(self, tmp_path):
         path = tmp_path / "r.jsonl"
@@ -940,3 +974,47 @@ class TestRasterReader:
         message = outcome(read_raster_jsonl, str(path))
         assert message == outcome(read_through_json, str(path))
         assert re.fullmatch(r"ValueError: .*r\.jsonl:12: bad raster record: .*", message)
+
+
+def traced(call):
+    """call()'s result, the most memory traced above the start while it
+    ran, and the memory it allocated that is still held when it returns."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - before, held - before
+
+
+def memory_rasters(window_s):
+    """200 stochastic rasters of 300 dimensions, counts only: about 3,000
+    spikes a raster per second of window."""
+    cfg = CodecConfig(window_s=window_s, seed=5)
+    codes = np.random.default_rng(5).choice(np.array([-1, 0, 1], dtype=np.int8), size=(200, 300))
+    return [f"w{i}" for i in range(len(codes))], [generate_raster(rates_from_ternary(c, cfg), cfg, i)
+                                                  for i, c in enumerate(codes)]
+
+
+class TestMemory:
+    def test_writer_holds_one_block_of_times(self, tmp_path):
+        peaks = []
+        for window_s in (0.2, 2.0):
+            words, rasters = memory_rasters(window_s)
+            _, peak, held = traced(lambda: write_raster_jsonl(str(tmp_path / "r.jsonl"), words, rasters))
+            # no raster keeps the times the writer read
+            assert held < 2**16
+            peaks.append(peak)
+        # ten times the spikes (0.6 M and 6.0 M) in about the same memory
+        assert peaks[1] < peaks[0] + 5e6
+
+    def test_reader_holds_ticks(self, tmp_path):
+        words, rasters = memory_rasters(2.0)
+        path = str(tmp_path / "r.jsonl")
+        write_raster_jsonl(path, words, rasters)
+        (_, back), _, held = traced(lambda: read_raster_jsonl(path))
+        spikes = sum(int(r.counts().sum()) for r in back)
+        # 4 bytes a tick, plus the counts, the words and the rasters
+        assert held < 5 * spikes
