@@ -74,7 +74,11 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def write_manifest(args, cfg: CodecConfig | None, inputs: dict[str, str]) -> str:
+# the flags that name an input file, hashed in this order when set
+_INPUT_FLAGS = ("embeddings", "ternary", "wordlist", "rasters", "simlex", "analogies")
+
+
+def write_manifest(args, cfg: CodecConfig | None) -> str:
     """The text of manifest.json, recording args.command_line."""
     config = dataclasses.asdict(cfg) if cfg is not None else None
     # a command without --seed (decode, analyze) reads neither the mode nor the seed
@@ -88,7 +92,7 @@ def write_manifest(args, cfg: CodecConfig | None, inputs: dict[str, str]) -> str
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "config": config,
         "seed": config.get("seed") if config is not None else None,
-        "inputs": {role: _sha256(p) for role, p in inputs.items() if p},
+        "inputs": {flag: _sha256(getattr(args, flag)) for flag in _INPUT_FLAGS if getattr(args, flag, None)},
     }
     return json.dumps(manifest, indent=2) + "\n"
 
@@ -98,7 +102,7 @@ def _text(text: str):
     return lambda path: Path(path).write_text(text, encoding="utf-8")
 
 
-def _publish(args, cfg: CodecConfig | None, inputs: dict[str, str], outputs: dict) -> None:
+def _publish(args, cfg: CodecConfig | None, outputs: dict) -> None:
     """Write ``outputs`` (file name -> writer of a given path) and then the
     manifest into args.out_dir as one step.
 
@@ -117,7 +121,7 @@ def _publish(args, cfg: CodecConfig | None, inputs: dict[str, str], outputs: dic
     os.umask(umask)
     # staged last, so it hashes the inputs after every output is written
     # and before any rename could replace one
-    outputs = {**outputs, "manifest.json": lambda path: _text(write_manifest(args, cfg, inputs))(path)}
+    outputs = {**outputs, "manifest.json": lambda path: _text(write_manifest(args, cfg))(path)}
     staged = []
     try:
         for name, write in outputs.items():
@@ -175,8 +179,7 @@ def _load_input_set(args):
 def cmd_quantize(args) -> int:
     es, missing = _load_input_set(args)
     ternary = quantize_all(es)
-    _publish(args, None, {"embeddings": args.embeddings, "wordlist": args.wordlist},
-             {"ternary.txt": lambda path: save_ternary(ternary, path)})
+    _publish(args, None, {"ternary.txt": lambda path: save_ternary(ternary, path)})
     print(f"quantized {len(ternary)} words (dim {ternary.dim}), {missing} wordlist misses")
     return EXIT_OK
 
@@ -206,8 +209,7 @@ def cmd_encode(args) -> int:
     if args.plot_word:
         raster = rasters[ternary.words.index(args.plot_word)]
         outputs[f"raster_{args.plot_word}.svg"] = lambda path: _plot_raster(path, args.plot_word, raster)
-    _publish(args, cfg, {"embeddings": args.embeddings, "ternary": args.ternary, "wordlist": args.wordlist},
-             outputs)
+    _publish(args, cfg, outputs)
     print(f"encoded {len(ternary)} words, {missing} wordlist misses -> "
           f"{os.path.join(args.out_dir, 'rasters.jsonl')}")
     return EXIT_OK
@@ -239,7 +241,7 @@ def cmd_decode(args) -> int:
         raise EmptyResultError(f"{args.rasters}: no raster records")
     decoded = np.stack([decode(r, cfg).values for r in rasters])
     ternary = TernarySet(tuple(words), decoded)
-    _publish(args, cfg, {"rasters": args.rasters}, {"decoded.txt": lambda path: save_ternary(ternary, path)})
+    _publish(args, cfg, {"decoded.txt": lambda path: save_ternary(ternary, path)})
     print(f"decoded {len(words)} words -> {os.path.join(args.out_dir, 'decoded.txt')}")
     return EXIT_OK
 
@@ -288,7 +290,7 @@ def cmd_analyze(args) -> int:
             suggested_threshold_error=best_err,
             total_error=analysis.total_error,
         )
-        _publish(args, cfg, {}, {"analysis.json": _text(json.dumps(payload, indent=2) + "\n")})
+        _publish(args, cfg, {"analysis.json": _text(json.dumps(payload, indent=2) + "\n")})
     return EXIT_OK
 
 
@@ -299,13 +301,8 @@ def cmd_eval(args) -> int:
     quads = load_analogies(args.analogies, lowercase=args.lowercase) if args.analogies else None
     report = full_report(es, cfg, pairs=pairs, quads=quads)
 
-    _publish(
-        args,
-        cfg,
-        {"embeddings": args.embeddings, "wordlist": args.wordlist, "simlex": args.simlex,
-         "analogies": args.analogies},
-        {"report.json": _text(report.to_json() + "\n"), "report.txt": _text(report.to_table() + "\n")},
-    )
+    _publish(args, cfg, {"report.json": _text(report.to_json() + "\n"),
+                         "report.txt": _text(report.to_table() + "\n")})
     print(report.to_table())
     print(f"evaluated {len(es)} words, {missing} wordlist misses")
     return EXIT_OK

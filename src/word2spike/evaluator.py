@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .corpus_io import AnalogyQuad, EmbeddingSet, SimilarityPair, WordList
+from .corpus_io import AnalogyQuad, EmbeddingSet, SimilarityPair
 from .quantizer import TernarySet
 from .spike_codec import CodecConfig, roundtrip
 
@@ -206,20 +206,18 @@ def overlap_at_k(
     map_a: Mapping[str, np.ndarray] | _NeighborIndex,
     map_b: Mapping[str, np.ndarray] | _NeighborIndex,
     k: int,
-    vocab: WordList | list[str] | None = None,
 ) -> float:
-    """Mean |top-k(a) ∩ top-k(b)| / k over the shared vocabulary.
+    """Mean |top-k(a) ∩ top-k(b)| / k over the words both sides hold.
 
-    Either side may be a prebuilt index, whose top-k table is reused.
-    Each index computes every word's top-k list once per k, so a small
-    ``vocab`` over a large index still costs the whole table.  The integer
+    Either side may be a prebuilt index, whose top-k table is reused;
+    each index computes every word's top-k list once per k.  The integer
     intersection sizes are summed and divided once, so the mean is the
     correctly rounded fraction whatever the word order.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     index_a, index_b = _as_index(map_a), _as_index(map_b)
-    words = [w for w in (index_a.words if vocab is None else vocab) if w in index_a and w in index_b]
+    words = [w for w in index_a.words if w in index_b]
     if not words:
         raise EvaluationError("empty shared vocabulary")
     tops_a, tops_b = index_a.own_top_k(k), index_b.own_top_k(k)
@@ -332,15 +330,13 @@ class EvalReport:
         return (self.original, self.quantized, self.spike)
 
 
-def _metrics_for(
-    index: _NeighborIndex, original_index: _NeighborIndex, pairs, quads, vocab
-) -> RepresentationMetrics:
+def _metrics_for(index: _NeighborIndex, original: _NeighborIndex, pairs, quads) -> RepresentationMetrics:
     m = RepresentationMetrics()
     if pairs:
         m.simlex_rho, m.simlex_used, m.simlex_skipped = simlex_eval(index, pairs)
     if quads:
         m.analogy_accuracy, m.analogy_used, m.analogy_skipped = analogy_eval(index, quads)
-    m.overlap_at_10 = overlap_at_k(original_index, index, 10, vocab)
+    m.overlap_at_10 = overlap_at_k(original, index, 10)
     return m
 
 
@@ -359,10 +355,9 @@ def full_report(
     metrics are the quantized metrics and no third index is built."""
     result = roundtrip(original, cfg)
     original_index = _NeighborIndex(original.words, original.vectors)
-    vocab = list(original.words)
-    original_m = _metrics_for(original_index, original_index, pairs, quads, vocab)
+    original_m = _metrics_for(original_index, original_index, pairs, quads)
     quantized_m = _metrics_for(
-        _NeighborIndex(result.ternary.words, result.ternary.values), original_index, pairs, quads, vocab
+        _NeighborIndex(result.ternary.words, result.ternary.values), original_index, pairs, quads
     )
     if np.array_equal(result.decoded.values, result.ternary.values):
         # same words by construction, and every metric is a function of
@@ -370,7 +365,7 @@ def full_report(
         spike_m = replace(quantized_m)
     else:
         spike_m = _metrics_for(
-            _NeighborIndex(result.decoded.words, result.decoded.values), original_index, pairs, quads, vocab
+            _NeighborIndex(result.decoded.words, result.decoded.values), original_index, pairs, quads
         )
     report = EvalReport(
         original=original_m, quantized=quantized_m, spike=spike_m, reference=REFERENCE_VALUES

@@ -100,9 +100,7 @@ class CodecConfig:
                 f"{MAX_MEAN_COUNT:g}, got {self.lambda_plus}"
             )
         if self.mode == "lossless":
-            n_minus, n_plus = _lossless_counts(
-                np.array([self.rate_minus_hz, self.rate_plus_hz]), self.window_s
-            ).tolist()
+            n_minus, n_plus = _lossless_counts(np.array([self.lambda_minus, self.lambda_plus])).tolist()
             if not 1 <= n_minus < self.count_threshold <= n_plus:
                 raise ConfigError(
                     f"lossless mode emits {n_minus} spikes for -1 and {n_plus} for +1, which "
@@ -201,7 +199,8 @@ class SpikeRaster:
     microsecond ticks, 4 bytes a spike below 2**32 µs, and makes its times
     from them at every read.  A read of a stochastic raster sets and
     restores state, so such a raster must not be read from two threads at
-    once.
+    once.  Counts are int32 in every raster but one made by ``_deferred``
+    from other counts.
     """
 
     __slots__ = ("window_s", "_times", "_ticks", "_counts", "_rng")
@@ -211,12 +210,14 @@ class SpikeRaster:
         counts = np.asarray(counts, dtype=np.int64)
         if times.ndim != 1 or counts.ndim != 1:
             raise ValueError("times and counts must be one-dimensional")
+        if np.any(counts > np.iinfo(np.int32).max):
+            raise ValueError("a count must be below 2**31, to be held as int32")
         if np.any(counts < 0) or int(counts.sum()) != len(times):
             raise ValueError("counts must be nonnegative and sum to the number of spike times")
         self.window_s = window_s
         self._times = times
         self._ticks = None
-        self._counts = counts
+        self._counts = counts.astype(np.int32)
         self._rng = None
 
     @classmethod
@@ -283,9 +284,10 @@ def rates_from_ternary(codes: np.ndarray, cfg: CodecConfig) -> RateVector:
     return RateVector(_rate_levels(cfg)[np.asarray(codes, dtype=np.intp) + 1])
 
 
-def _lossless_counts(rates_hz: np.ndarray, window_s: float) -> np.ndarray:
-    """The spike counts lossless mode emits: round(rate * window), half to even."""
-    return np.rint(rates_hz * window_s).astype(np.int64)
+def _lossless_counts(means: np.ndarray) -> np.ndarray:
+    """The spike counts lossless mode emits for mean counts rate * window:
+    each rounded half to even, as int32."""
+    return np.rint(means).astype(np.int32)
 
 
 def generate_raster(rates: RateVector, cfg: CodecConfig, stream_id: int) -> SpikeRaster:
@@ -302,13 +304,19 @@ def generate_raster(rates: RateVector, cfg: CodecConfig, stream_id: int) -> Spik
     ``times``: the stochastic ones continue the raster's own stream after
     its counts, which each read puts back, so they are the same whenever,
     how often and in whatever order rasters are read.  Decoding reads
-    counts only, so ``roundtrip`` and ``eval`` make no spike times.
+    counts only, so ``roundtrip`` and ``eval`` make no spike times.  The
+    counts are int32: a rate whose mean count rate * window is above
+    MAX_MEAN_COUNT, which rates_from_ternary never gives, is refused.
     """
     window = cfg.window_s
+    means = rates.rates_hz * window
+    if not means.max(initial=0.0) <= MAX_MEAN_COUNT:
+        raise ValueError(f"rate * window is a mean spike count and must be at most {MAX_MEAN_COUNT:g}")
     if cfg.mode == "lossless":
-        return SpikeRaster._deferred(window, _lossless_counts(rates.rates_hz, window))
+        return SpikeRaster._deferred(window, _lossless_counts(means))
     rng = np.random.default_rng([cfg.seed, stream_id])
-    return SpikeRaster._deferred(window, rng.poisson(rates.rates_hz * window), rng)
+    # a Poisson count of mean at most 1e9 stays far below 2**31
+    return SpikeRaster._deferred(window, rng.poisson(means).astype(np.int32), rng)
 
 
 def _spike_times(counts: np.ndarray, window: float, rng) -> np.ndarray:
@@ -336,12 +344,17 @@ def decode(raster: SpikeRaster, cfg: CodecConfig) -> TernaryVector:
     Zero spikes -> 0; count >= ceil(threshold * window) -> +1 with no
     upper cap; otherwise -1.
     """
-    if not math.isclose(raster.window_s, cfg.window_s, rel_tol=1e-9):
+    if not _same_window(raster.window_s, cfg.window_s):
         raise ConfigError(
             f"raster window {raster.window_s} s does not match config window {cfg.window_s} s"
         )
     values = _decode_counts(raster.counts(), cfg.count_threshold)
     return TernaryVector(values)
+
+
+def _same_window(a: float, b: float) -> bool:
+    """Whether decode takes a raster of window ``a`` under a config of window ``b``."""
+    return math.isclose(a, b, rel_tol=1e-9)
 
 
 def _decode_counts(counts: np.ndarray, count_threshold: int) -> np.ndarray:
@@ -562,17 +575,25 @@ def _decimal_lanes(values: np.ndarray) -> np.ndarray:
     return lanes
 
 
+def _check_dimensions(n_dims: int, first: int) -> None:
+    """ValueError unless a raster's n_dims is at least one and the first raster's."""
+    if n_dims == 0:
+        raise ValueError("a raster must hold at least one dimension")
+    if n_dims != first:
+        raise ValueError(f"{n_dims} dimensions, the first raster has {first}")
+
+
 def _records(words, rasters):
     """The (word, raster) pairs to write; ValueError, before a byte is
-    written, if there are not as many words as rasters, or if a raster has
-    no dimension or not as many as the first, as the reader requires."""
+    written, if there are not as many words as rasters, or naming the word
+    of a raster that breaks the reader's dimension rules."""
     if len(words) != len(rasters):
         raise ValueError(f"{len(words)} words for {len(rasters)} rasters")
     for word, raster in zip(words, rasters):
-        if len(raster) == 0:
-            raise ValueError(f"word {word!r}: a raster must hold at least one dimension")
-        if len(raster) != len(rasters[0]):
-            raise ValueError(f"word {word!r}: {len(raster)} dimensions, the first raster has {len(rasters[0])}")
+        try:
+            _check_dimensions(len(raster), len(rasters[0]))
+        except ValueError as exc:
+            raise ValueError(f"word {word!r}: {exc}") from None
     return zip(words, rasters)
 
 
@@ -580,11 +601,25 @@ def write_raster_jsonl(path: str, words, rasters) -> None:
     """JSON Lines raster export: one record per word, times in ms (3 dp).
 
     A record is ``{"word":..,"window_ms":..,"trains":[[t, ..], ..]}`` with
-    no spaces, each time written as json.dumps writes the float
-    ``np.round(t * 1000, 3)``.  Raises ValueError naming the word for a
-    negative or non-finite time, or one that rounds to 1e9 ms or more.
+    no spaces, the window written as json.dumps writes
+    ``round(window_s * 1000, 6)`` and each time as it writes the float
+    ``np.round(t * 1000, 3)``.  Before the file is opened, ValueError
+    names a record the reader would refuse, or whose written window
+    decode would not take for the raster's.  Raises ValueError naming the
+    word for a negative or non-finite time, or one that rounds to 1e9 ms
+    or more.
     """
-    records = _records(words, rasters)
+    records, seen = [], {}
+    for n, (word, raster) in enumerate(_records(words, rasters), start=1):
+        window_ms = round(raster.window_s * 1000.0, 6)
+        try:
+            _, window_s = _check_head({"word": word, "window_ms": float(window_ms)}, seen, f"record {n}")
+            if not _same_window(window_s, raster.window_s):
+                raise ValueError(f"window {raster.window_s} s is written as {window_ms} ms, "
+                                 f"which reads back as {window_s} s")
+        except ValueError as exc:
+            raise ValueError(f"record {n}: {exc}") from None
+        records.append((word, raster, json.dumps(window_ms)))
     with open(path, "wb") as fh:
         blocks = _blocks(records, lambda record: int(record[1].counts().sum()) + len(record[1]), _BLOCK_SPIKES)
         for block in blocks:
@@ -592,7 +627,7 @@ def write_raster_jsonl(path: str, words, rasters) -> None:
 
 
 def _format_records(block) -> bytes:
-    """The JSONL bytes of a list of (word, raster) records.
+    """The JSONL bytes of a list of (word, raster, window_ms text) records.
 
     Each spike, and each empty dimension, is one row of a byte matrix: the
     lanes of the time's integer part, "[" in the first byte if the row
@@ -600,7 +635,7 @@ def _format_records(block) -> bytes:
     hold 0, which no output byte is, so dropping every 0 leaves the trains
     text with one comma too many at the end.
     """
-    rasters = [raster for _, raster in block]
+    rasters = [raster for _, raster, _ in block]
     times = np.concatenate([r.times for r in rasters])
     counts = np.concatenate([r.counts() for r in rasters])
     # np.round(x, 3) is rint(x * 1000) / 1000, so with the products in this
@@ -634,8 +669,7 @@ def _format_records(block) -> bytes:
 
     word_ends = np.concatenate(([0], ends))[np.cumsum([len(r) for r in rasters])]
     parts = []
-    for (word, raster), trains in zip(block, _row_texts(buf, word_ends.tolist())):
-        window_ms = json.dumps(round(raster.window_s * 1000.0, 6))
+    for (word, _, window_ms), trains in zip(block, _row_texts(buf, word_ends.tolist())):
         parts += (f'{{"word":{json.dumps(word)},"window_ms":{window_ms},"trains":['.encode(),
                   trains[:-1], b"]}\n")
     return b"".join(parts)
@@ -654,7 +688,7 @@ def read_raster_jsonl(path: str) -> tuple[list[str], list[SpikeRaster]]:
     its times from them at each read; one from ``json`` keeps float times.
     """
     words, rasters = [], []
-    line_of: dict[str, int] = {}
+    seen: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         lines = ((lineno, line) for lineno, line in enumerate(fh, start=1) if not line.isspace())
         # a time and its comma take at least 4 characters, so the parsing
@@ -663,49 +697,44 @@ def read_raster_jsonl(path: str) -> tuple[list[str], list[SpikeRaster]]:
             parsed = _parse_block([line for _, line in block]) or [None] * len(block)
             for (lineno, line), record in zip(block, parsed):
                 try:
-                    if record is None:
-                        word, window_s, counts, times = _parse_record(line)
-                        raster = SpikeRaster(window_s, times, counts)
-                    else:
-                        head, counts, ticks = record
-                        word, window_s = _record_head(head)
-                        raster = SpikeRaster._deferred(window_s, counts, ticks=ticks)
-                    if word in line_of:
-                        raise ValueError(f"word {word!r} repeats line {line_of[word]}")
-                    if rasters and len(counts) != len(rasters[0]):
-                        raise ValueError(f"{len(counts)} dimensions, the first record has {len(rasters[0])}")
+                    head, counts, spikes = record or _parse_record(line)
+                    word, window_s = _check_head(head, seen, f"line {lineno}")
+                    _check_dimensions(len(counts), len(rasters[0]) if rasters else len(counts))
+                    # the array path gives microsecond ticks, json float times
+                    raster = (SpikeRaster._deferred(window_s, counts, ticks=spikes) if record
+                              else SpikeRaster(window_s, spikes, counts))
                 # json.loads raises RecursionError on a deeply nested record
                 except (KeyError, ValueError, TypeError, OverflowError, RecursionError) as exc:
                     raise ValueError(f"{path}:{lineno}: bad raster record: {exc}") from exc
-                line_of[word] = lineno
                 words.append(word)
                 rasters.append(raster)
     return words, rasters
 
 
-def _record_head(record) -> tuple[str, float]:
-    """A record's word and its window in seconds, checked."""
-    word = record["word"]
+def _check_head(head, seen: dict, where: str) -> tuple[str, float]:
+    """A record's word and window in seconds, checked; ``seen`` maps each
+    earlier word to ``where`` it was, and gains this one."""
+    word = head["word"]
     # decoded codes are written as "word v1 ... vn" lines
     if not isinstance(word, str) or word.split() != [word]:
         raise ValueError(f"word must be one token without whitespace, got {word!r}")
-    window_ms = record["window_ms"]
+    window_ms = head["window_ms"]
     # exact types again: float() would take "200" and true
     if type(window_ms) not in (int, float) or not 0 < window_ms < math.inf:
         raise ValueError(f"window_ms must be a positive finite number, got {window_ms!r}")
+    if word in seen:
+        raise ValueError(f"word {word!r} repeats {seen[word]}")
+    seen[word] = where
     return word, float(window_ms) / 1000.0
 
 
-def _parse_record(line: str) -> tuple[str, float, np.ndarray, np.ndarray]:
-    """The word, window (s), counts and times (s) of one record, read
-    through ``json``: any JSON of the record's shape."""
+def _parse_record(line: str) -> tuple[dict, np.ndarray, np.ndarray]:
+    """The head, counts and times (s) of one record, read through
+    ``json``: any JSON of the record's shape."""
     record = json.loads(line)
-    word, window_s = _record_head(record)
     trains = record["trains"]
     if not isinstance(trains, list) or not all(isinstance(t, list) for t in trains):
         raise ValueError("trains must be a list of lists of spike times")
-    if not trains:
-        raise ValueError("trains must hold at least one dimension")
     # exact types: a JSON true is a bool, and fromiter would read both
     # true and "1.5" as numbers
     if not set(map(type, itertools.chain.from_iterable(trains))) <= {int, float}:
@@ -716,7 +745,7 @@ def _parse_record(line: str) -> tuple[str, float, np.ndarray, np.ndarray]:
     ) / 1000.0
     if not np.all(np.isfinite(times)):
         raise ValueError("spike times must be finite numbers")
-    return word, window_s, counts, times
+    return record, counts, times
 
 
 _TRAINS_KEY = ',"trains":['
@@ -761,7 +790,7 @@ def _parse_block(lines: list[str]) -> list | None:
 
 
 def _parse_trains(text: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """The offsets of the trains, their spike counts and the microsecond
+    """The offsets of the trains, their int32 spike counts and the microsecond
     ticks of ``text``, which starts with "[" and ends with "]", when it is exactly
     ``[T,..,T],..,[T,..,T]``, a train possibly empty and each T matching
     ``(0|[1-9][0-9]{0,9})\\.[0-9]{1,3}``; else None.  The checks prove
@@ -827,7 +856,8 @@ def _parse_trains(text: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray] | No
         return None
     # numpy 1.x would divide a narrower integer type in float16 or float32
     wide = ticks.size and ticks.max() >= 2**32
-    return opens, counts, ticks.astype(np.uint64 if wide else np.uint32)
+    # a count of 2**31 would take a line of 8 GB
+    return opens, counts.astype(np.int32), ticks.astype(np.uint64 if wide else np.uint32)
 
 
 def write_counts_csv(path: str, words, rasters) -> None:

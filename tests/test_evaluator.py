@@ -245,8 +245,11 @@ class TestOverlapAtK:
         tops = (_as_index(m).own_top_k(10) for m in (map_a, map_b))
         hits = sum(len(set(a) & set(b)) for a, b in zip(*tops))
         exact = float(Fraction(hits, 10 * len(es.words)))
+        # each side in its own row order: the sum runs in the first side's
         for seed in range(4):
-            assert overlap_at_k(map_a, map_b, 10, list(shuffled(es, seed).words)) == exact
+            ternary_b = quantize_all(shuffled(es, seed + 4))
+            shuffled_b = dict(zip(ternary_b.words, ternary_b.values))
+            assert overlap_at_k(shuffled(es, seed).as_map(), shuffled_b, 10) == exact
 
 
 class TestAnalogyEval:

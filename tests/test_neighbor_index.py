@@ -236,7 +236,7 @@ class TestSharedIndices:
         original_index = _NeighborIndex(random_set.words, random_set.vectors)
         spike = evaluator._metrics_for(
             _NeighborIndex(result.decoded.words, result.decoded.values),
-            original_index, pairs, quads, list(words),
+            original_index, pairs, quads,
         )
         spike.reconstruction_accuracy = 1.0
         for f in fields(evaluator.RepresentationMetrics):

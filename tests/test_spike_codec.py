@@ -257,6 +257,12 @@ class TestGenerateRaster:
                 assert st.kstest(train / cfg.window_s, "uniform").pvalue > level, dim
                 assert st.kstest(np.diff(train), "expon", args=(0.0, 1.0 / rate)).pvalue > level, dim
 
+    @pytest.mark.parametrize("mode", ["stochastic", "lossless"])
+    def test_mean_count_above_the_bound_refused(self, mode):
+        # 2e10 Hz over 0.2 s is a mean of 4e9 spikes, past int32
+        with pytest.raises(ValueError, match="must be at most 1e[+]09"):
+            generate_raster(RateVector(np.array([0.0, 2e10])), CodecConfig(mode=mode), 0)
+
     def test_stochastic_rasters_valid_1000_words(self):
         rng = np.random.default_rng(33)
         words = tuple(f"w{i}" for i in range(1000))
@@ -382,6 +388,11 @@ class TestSpikeRaster:
             SpikeRaster(0.2, [0.1, 0.2], [1])
         with pytest.raises(ValueError):
             SpikeRaster(0.2, [0.1], [2, -1])
+
+    def test_count_must_fit_int32(self):
+        # checked before the cast, which would wrap it to -2**31
+        with pytest.raises(ValueError, match=r"below 2\*\*31"):
+            SpikeRaster(0.2, [], [2**31])
 
     @pytest.mark.parametrize("times,counts,message", [
         ([0.1, math.nan], [0, 2], "dimension 1: non-finite"),
@@ -667,6 +678,48 @@ def count_records(draw):
     return words, [SpikeRaster._deferred(0.2, np.array(draw(counts), np.int64)) for _ in words]
 
 
+# words the reader refuses (not one whitespace-free token, or not a str),
+# and any short text
+ODD_WORDS = st_h.one_of(st_h.sampled_from(["a b", "", " ", "\t", 3, None]),
+                        st_h.text(WORD_CHARACTERS, max_size=3))
+# windows (s) whose written value the reader refuses (0 ms after rounding
+# for 1e-10); one whose sub-ns digits the written value loses past what
+# decode takes (0.0001234567) and one whose lost digits decode still
+# takes (0.2000000001); a numpy float; and one of 6 decimals in ms
+ODD_WINDOWS = st_h.sampled_from([0.0, -1.0, math.nan, math.inf, 1e-10, 0.0001234567, 0.2000000001,
+                                 np.float64(0.2), 123.456])
+
+
+@st_h.composite
+def odd_records(draw):
+    """Words and rasters, mostly plain (a word of a few repeated ones, a
+    200 ms window, 2 dimensions), with odd words, odd windows and rasters
+    of no dimension or of 3 about one time in four each; each train's
+    times are 1 ms apart, whatever the window."""
+    def rarely():
+        return draw(st_h.booleans()) and draw(st_h.booleans())
+
+    n_dims = 0 if rarely() else 2
+    words, rasters = [], []
+    for _ in range(draw(st_h.integers(1, 4))):
+        words.append(draw(ODD_WORDS if rarely() else st_h.sampled_from(["a", "b", "c", "d"])))
+        dims = 3 if rarely() else n_dims
+        counts = draw(st_h.lists(st_h.integers(0, 2), min_size=dims, max_size=dims))
+        times = [j / 1000 for c in counts for j in range(c)]
+        rasters.append(SpikeRaster(draw(ODD_WINDOWS) if rarely() else 0.2, times, counts))
+    return words, rasters
+
+
+def decode_takes(read_back, raster):
+    """Whether decode takes a raster read back under a config of the
+    written raster's own window."""
+    try:
+        decode(read_back, CodecConfig(window_s=raster.window_s))
+    except ConfigError:
+        return False
+    return True
+
+
 class TestSerialization:
     def test_jsonl_roundtrip(self, tmp_path):
         cfg = CodecConfig(seed=11)
@@ -792,6 +845,33 @@ class TestSerialization:
             write(str(path), ["a", "b"], [raster_from_counts(c) for c in counts])
         assert not path.exists()
 
+    @settings(max_examples=300, deadline=None)
+    @given(odd_records())
+    def test_jsonl_writer_refuses_what_the_reader_or_decode_refuses(self, tmp_path_factory, records):
+        words, rasters = records
+        folder = tmp_path_factory.mktemp("odd")
+        path = folder / "r.jsonl"
+        try:
+            write_raster_jsonl(str(path), words, rasters)
+        except ValueError as exc:
+            refused = True
+            assert re.match(r"(record \d+|word .*): ", str(exc))
+            assert not path.exists()
+        else:
+            refused = False
+            back_words, back = read_raster_jsonl(str(path))
+            assert back_words == words
+            assert [r.counts().tolist() for r in back] == [r.counts().tolist() for r in rasters]
+            assert all(map(decode_takes, back, rasters))
+        # the reference writer checks nothing
+        path.write_text(reference_jsonl(words, rasters), encoding="utf-8")
+        try:
+            _, back = read_raster_jsonl(str(path))
+            unusable = not all(map(decode_takes, back, rasters))
+        except ValueError:
+            unusable = True
+        assert refused == unusable
+
     def test_counts_csv_quotes_commas_and_quotes(self, tmp_path):
         path = str(tmp_path / "c.csv")
         words = ["a,b", 'say"hi', "plain"]
@@ -813,7 +893,7 @@ class TestSerialization:
     def test_record_without_dimensions_names_line(self, tmp_path):
         path = tmp_path / "r.jsonl"
         path.write_text(NO_DIMENSIONS + "\n" + GOOD_RECORD + "\n", encoding="utf-8")
-        with pytest.raises(ValueError, match=r"r\.jsonl:1: bad raster record: trains must hold at least one"):
+        with pytest.raises(ValueError, match=r"r\.jsonl:1: bad raster record: a raster must hold at least one"):
             read_raster_jsonl(str(path))
 
 
@@ -1009,6 +1089,16 @@ class TestMemory:
             peaks.append(peak)
         # ten times the spikes (0.6 M and 6.0 M) in about the same memory
         assert peaks[1] < peaks[0] + 5e6
+
+    def test_every_raster_holds_int32_counts(self, tmp_path):
+        lossless = CodecConfig(mode="lossless")
+        rates = rates_from_ternary(np.array([1, 0, -1]), lossless)
+        rasters = [generate_raster(rates, CodecConfig(seed=3), 0), generate_raster(rates, lossless, 0),
+                   raster_from_counts([2, 0, 1])]
+        path = str(tmp_path / "r.jsonl")
+        write_raster_jsonl(path, ["a", "b", "c"], rasters)
+        rasters += read_raster_jsonl(path)[1] + read_through_json(path)[1]
+        assert [r.counts().dtype for r in rasters] == [np.int32] * 9
 
     def test_reader_holds_ticks(self, tmp_path):
         words, rasters = memory_rasters(2.0)
