@@ -8,11 +8,12 @@ to its outputs; two runs with equal manifests produce identical outputs.
 
 Exit codes: 0 success, 2 input error (an unwritable out-dir included),
 3 empty result, 4 config error.  A run publishes its files in one step:
-every output and then the manifest is written to a temp name in the
-out-dir, and only then are they renamed into place, manifest last.  So a
-run that fails before its renames changes no file, and a target that is
-a directory, or not one plain file name, fails the run before the first
-rename.  Outputs get the umask's permissions.
+every output and then the manifest is written into one staging directory,
+and only then is the out-dir made and are they renamed into it, manifest
+last.  So a run that fails before its renames changes no file and leaves
+no directory, and a target that is a directory, or not one plain file
+name, fails the run before the first rename.  Outputs get the mode their
+writers' own open() gives them: 0o666 less the umask.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import hashlib
 import json
 import os
 import shlex
+import shutil
 import stat
 import sys
 import tempfile
@@ -49,6 +51,7 @@ from .spike_codec import (
     ConfigError,
     PRESETS,
     _read_config,
+    _window_ms,
     decode,
     generate_raster,
     misclassification_probabilities,
@@ -106,46 +109,41 @@ def _publish(args, cfg: CodecConfig | None, outputs: dict) -> None:
     """Write ``outputs`` (file name -> writer of a given path) and then the
     manifest into args.out_dir as one step.
 
-    Each file is first written to a temp name in the out-dir with the mode
-    a plain open() would give it, 0o666 less the umask (mkstemp makes
-    0o600).  Only when all are written, and no target is a directory,
-    are they renamed into place, manifest last; on any failure every temp
-    file is removed.  Each name must be one plain file name.
+    Each file is written under its own name, with the mode its writer's
+    open() gives it, into one stage made in the nearest existing directory
+    on the out-dir's path.  Only then is the out-dir made, on the stage's
+    file system, and, if no target is a directory, are the files renamed
+    into it, manifest last.  Each name must be one plain file name.
     """
     for name in outputs:
         if os.path.basename(name) != name:
             raise OSError(errno.EINVAL, "output name is not a plain file name",
                           os.path.join(args.out_dir, name))
-    os.makedirs(args.out_dir, exist_ok=True)
-    umask = os.umask(0)
-    os.umask(umask)
     # staged last, so it hashes the inputs after every output is written
     # and before any rename could replace one
     outputs = {**outputs, "manifest.json": lambda path: _text(write_manifest(args, cfg))(path)}
-    staged = []
+    parent = args.out_dir
+    while not os.path.isdir(parent):
+        parent = os.path.dirname(parent) or os.curdir
+    stage = tempfile.mkdtemp(dir=parent, prefix=".w2s-")
     try:
         for name, write in outputs.items():
-            fd, tmp = tempfile.mkstemp(dir=args.out_dir, prefix=".w2s-", suffix=".tmp")
-            os.close(fd)
-            staged.append((tmp, os.path.join(args.out_dir, name)))
-            write(tmp)
-            os.chmod(tmp, 0o666 & ~umask)
+            write(os.path.join(stage, name))
+        os.makedirs(args.out_dir, exist_ok=True)
         # os.replace fails on a directory or a name the file system refuses:
         # fail before the first rename rather than after some
-        for _, path in staged:
+        for name in outputs:
+            path = os.path.join(args.out_dir, name)
             try:
                 mode = os.lstat(path).st_mode
             except FileNotFoundError:
                 continue
             if stat.S_ISDIR(mode):
                 raise IsADirectoryError(errno.EISDIR, "output name is a directory", path)
-        for tmp, path in staged:
-            os.replace(tmp, path)
-    except BaseException:
-        for tmp, _ in staged:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-        raise
+        for name in outputs:
+            os.replace(os.path.join(stage, name), os.path.join(args.out_dir, name))
+    finally:
+        shutil.rmtree(stage)
 
 
 def build_config(args) -> CodecConfig:
@@ -191,6 +189,8 @@ def cmd_encode(args) -> int:
     if not args.ternary and not args.embeddings:
         raise CorpusFormatError("encode needs --embeddings or --ternary")
     cfg = build_config(args)
+    # a window rasters.jsonl cannot carry is refused before any work
+    _window_ms(cfg.window_s)
     if args.ternary:
         ternary, missing = load_ternary(args.ternary), 0
     else:

@@ -191,11 +191,12 @@ class SpikeRaster:
     is the number of spikes dimension i owns, so dimension i's train is
     the i-th piece of ``np.split(times, np.cumsum(counts()[:-1]))``.
 
-    A raster from ``generate_raster`` holds its counts only, and makes its
-    times at every read of ``times`` (also in ``validate()``): a stochastic
-    one draws them from its own stream after its counts and then puts the
-    stream's state back, so every read returns bit-equal times.  A raster
-    that ``read_raster_jsonl`` parses on its array path holds unsigned
+    A raster holds one source of its times, the constructor's raster its
+    float times.  One from ``generate_raster`` holds its counts only, and
+    makes its times at every read of ``times`` (also in ``validate()``):
+    a stochastic one draws them from its own stream after its counts, and
+    the draw puts the stream back, so every read returns bit-equal times.
+    One that ``read_raster_jsonl`` parses on its array path holds unsigned
     microsecond ticks, 4 bytes a spike below 2**32 µs, and makes its times
     from them at every read.  A read of a stochastic raster sets and
     restores state, so such a raster must not be read from two threads at
@@ -203,7 +204,7 @@ class SpikeRaster:
     from other counts.
     """
 
-    __slots__ = ("window_s", "_times", "_ticks", "_counts", "_rng")
+    __slots__ = ("window_s", "_counts", "_source")
 
     def __init__(self, window_s: float, times, counts):
         times = np.asarray(times, dtype=np.float64)
@@ -215,40 +216,31 @@ class SpikeRaster:
         if np.any(counts < 0) or int(counts.sum()) != len(times):
             raise ValueError("counts must be nonnegative and sum to the number of spike times")
         self.window_s = window_s
-        self._times = times
-        self._ticks = None
         self._counts = counts.astype(np.int32)
-        self._rng = None
+        self._source = times
 
     @classmethod
-    def _deferred(cls, window_s: float, counts: np.ndarray, rng=None, ticks=None) -> SpikeRaster:
-        """A raster that makes its times at every read: from the
-        microsecond ``ticks`` if given, else by ``_spike_times``, evenly
-        spaced when ``rng`` is None and drawn from ``rng`` otherwise."""
+    def _deferred(cls, window_s: float, counts: np.ndarray, source=None) -> SpikeRaster:
+        """A raster that makes its times at every read from ``source``: its
+        unsigned microsecond ticks if it is an array, else ``_spike_times``'s,
+        evenly spaced if it is None and drawn from it if it is a Generator."""
         raster = cls.__new__(cls)
         raster.window_s = window_s
-        raster._times = None
-        raster._ticks = ticks
         raster._counts = counts
-        raster._rng = rng
+        raster._source = source
         return raster
 
     @property
     def times(self) -> np.ndarray:
-        if self._times is not None:
-            return self._times
-        if self._ticks is not None:
-            # (ticks / 1000.0) / 1000.0, the arithmetic of the reader's json path
-            times = self._ticks / 1000.0
-            times /= 1000.0
-            return times
-        if self._rng is None:
-            return _spike_times(self._counts, self.window_s, None)
-        state = self._rng.bit_generator.state
-        try:
-            return _spike_times(self._counts, self.window_s, self._rng)
-        finally:
-            self._rng.bit_generator.state = state
+        source = self._source
+        if not isinstance(source, np.ndarray):
+            return _spike_times(self._counts, self.window_s, source)
+        if source.dtype == np.float64:
+            return source
+        # (ticks / 1000.0) / 1000.0, the arithmetic of the reader's json path
+        times = source / 1000.0
+        times /= 1000.0
+        return times
 
     def __len__(self) -> int:
         return len(self._counts)
@@ -274,14 +266,11 @@ class SpikeRaster:
             )
 
 
-def _rate_levels(cfg: CodecConfig) -> np.ndarray:
-    """The rates of codes -1, 0 and +1 in that order: code c's rate is at c + 1."""
-    return np.array([cfg.rate_minus_hz, 0.0, cfg.rate_plus_hz])
-
-
 def rates_from_ternary(codes: np.ndarray, cfg: CodecConfig) -> RateVector:
     """Map ternary codes to firing rates: +1/0/-1 -> rate_plus/0/rate_minus."""
-    return RateVector(_rate_levels(cfg)[np.asarray(codes, dtype=np.intp) + 1])
+    # the rates of codes -1, 0 and +1: code c's rate is at c + 1
+    levels = np.array([cfg.rate_minus_hz, 0.0, cfg.rate_plus_hz])
+    return RateVector(levels[np.asarray(codes, dtype=np.intp) + 1])
 
 
 def _lossless_counts(means: np.ndarray) -> np.ndarray:
@@ -312,22 +301,24 @@ def generate_raster(rates: RateVector, cfg: CodecConfig, stream_id: int) -> Spik
     means = rates.rates_hz * window
     if not means.max(initial=0.0) <= MAX_MEAN_COUNT:
         raise ValueError(f"rate * window is a mean spike count and must be at most {MAX_MEAN_COUNT:g}")
-    if cfg.mode == "lossless":
-        return SpikeRaster._deferred(window, _lossless_counts(means))
-    rng = np.random.default_rng([cfg.seed, stream_id])
+    source = None if cfg.mode == "lossless" else np.random.default_rng([cfg.seed, stream_id])
     # a Poisson count of mean at most 1e9 stays far below 2**31
-    return SpikeRaster._deferred(window, rng.poisson(means).astype(np.int32), rng)
+    counts = _lossless_counts(means) if source is None else source.poisson(means).astype(np.int32)
+    return SpikeRaster._deferred(window, counts, source)
 
 
 def _spike_times(counts: np.ndarray, window: float, rng) -> np.ndarray:
     """The flat spike times of a raster with these counts, grouped by
     dimension and ascending within each: evenly spaced when ``rng`` is
-    None, else sorted iid Uniform[0, window) draws from ``rng``."""
+    None, else sorted iid Uniform[0, window) draws from ``rng``, whose
+    state each call puts back."""
     if rng is None:
         dims = np.repeat(np.arange(len(counts)), counts)
         rank = np.arange(len(dims)) - (np.cumsum(counts) - counts)[dims]
         return (rank + 0.5) * (window / counts[dims])
+    state = rng.bit_generator.state
     times = rng.random(int(counts.sum())) * window
+    rng.bit_generator.state = state
     # random() < 1, but do not rely on the rounded product staying below window
     np.minimum(times, np.nextafter(window, 0.0), out=times)
     # sort by time, then stably by dimension, so each dimension's times
@@ -379,9 +370,8 @@ def roundtrip(es, cfg: CodecConfig) -> RoundTripResult:
     ternary = quantize_all(es)
     decoded = np.empty_like(ternary.values)
     k_star = cfg.count_threshold
-    levels = _rate_levels(cfg)
     for i, row in enumerate(ternary.values):
-        raster = generate_raster(RateVector(levels[row + 1]), cfg, stream_id=i)
+        raster = generate_raster(rates_from_ternary(row, cfg), cfg, stream_id=i)
         decoded[i] = _decode_counts(raster.counts(), k_star)
     decoded_set = TernarySet(ternary.words, decoded)
     matches = np.all(decoded == ternary.values, axis=1)
@@ -611,12 +601,9 @@ def write_raster_jsonl(path: str, words, rasters) -> None:
     """
     records, seen = [], {}
     for n, (word, raster) in enumerate(_records(words, rasters), start=1):
-        window_ms = round(raster.window_s * 1000.0, 6)
         try:
-            _, window_s = _check_head({"word": word, "window_ms": float(window_ms)}, seen, f"record {n}")
-            if not _same_window(window_s, raster.window_s):
-                raise ValueError(f"window {raster.window_s} s is written as {window_ms} ms, "
-                                 f"which reads back as {window_s} s")
+            window_ms = _window_ms(raster.window_s)
+            _check_head({"word": word, "window_ms": window_ms}, seen, f"record {n}")
         except ValueError as exc:
             raise ValueError(f"record {n}: {exc}") from None
         records.append((word, raster, json.dumps(window_ms)))
@@ -624,6 +611,17 @@ def write_raster_jsonl(path: str, words, rasters) -> None:
         blocks = _blocks(records, lambda record: int(record[1].counts().sum()) + len(record[1]), _BLOCK_SPIKES)
         for block in blocks:
             fh.write(_format_records(block))
+
+
+def _window_ms(window_s: float) -> float:
+    """The window as a raster record writes it: in ms, rounded to 6
+    decimals.  ConfigError if that reads back as a window decode would not
+    take for ``window_s``."""
+    window_ms = float(round(window_s * 1000.0, 6))
+    if not _same_window(window_ms / 1000.0, window_s):
+        raise ConfigError(f"window {window_s} s is written as {window_ms} ms, "
+                          f"which reads back as {window_ms / 1000.0} s")
+    return window_ms
 
 
 def _format_records(block) -> bytes:
@@ -701,7 +699,7 @@ def read_raster_jsonl(path: str) -> tuple[list[str], list[SpikeRaster]]:
                     word, window_s = _check_head(head, seen, f"line {lineno}")
                     _check_dimensions(len(counts), len(rasters[0]) if rasters else len(counts))
                     # the array path gives microsecond ticks, json float times
-                    raster = (SpikeRaster._deferred(window_s, counts, ticks=spikes) if record
+                    raster = (SpikeRaster._deferred(window_s, counts, spikes) if record
                               else SpikeRaster(window_s, spikes, counts))
                 # json.loads raises RecursionError on a deeply nested record
                 except (KeyError, ValueError, TypeError, OverflowError, RecursionError) as exc:

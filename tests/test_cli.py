@@ -8,6 +8,7 @@ import subprocess
 import sys
 import types
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -247,12 +248,13 @@ class TestEncodeCmd:
         assert len(trains) == len(counts) == 4
         for got, want in zip(trains, expected):
             assert np.array_equal(got, want * 1000.0)
-        # drawn into a temp file beside the output, then renamed into place
+        # drawn under its own name into a stage in the nearest existing
+        # directory, then renamed into place
         tmp = Path(calls[2][1])
-        assert (tmp.parent, tmp.name[:5], tmp.suffix) == (out, ".w2s-", ".tmp")
+        assert (tmp.parent.parent, tmp.parent.name[:5], tmp.name) == (tmp_path, ".w2s-", "raster_fox.svg")
         assert calls[2][2] == {"format": "svg"}
         assert (out / "raster_fox.svg").read_bytes() == b"<svg/>"
-        assert not tmp.exists()
+        assert not tmp.parent.exists()
         assert calls[3][1] is figure
 
     @pytest.mark.parametrize("word", ["a/b", "w" * 300], ids=["slash", "too-long"])
@@ -264,7 +266,7 @@ class TestEncodeCmd:
         assert main(["encode", "--embeddings", emb, "--seed", "2", "--plot-word", word,
                      "--out-dir", str(out)]) == 2
         assert f"raster_{word}.svg" in capsys.readouterr().err
-        assert out_files(out) == before  # no .w2s-*.tmp left either
+        assert out_files(out) == before  # no .w2s-* stage left either
 
 
 class TestDecodeCmd:
@@ -546,7 +548,7 @@ def test_failed_run_changes_no_file(tmp_path, emb_file, monkeypatch, template):
     with monkeypatch.context() as m:
         m.setattr(cli, "_sha256", no_space)
         assert main(second_run) == 2
-    assert out_files(out) == first  # no .w2s-*.tmp left either
+    assert out_files(out) == first  # no .w2s-* stage left either
     # the second run does change an output when it succeeds
     assert main(second_run) == 0
     assert {name for name, data in out_files(out).items() if first.get(name) != data} - {"manifest.json"}
@@ -564,7 +566,7 @@ def test_directory_at_the_manifest_changes_no_file(tmp_path, emb_file, capsys, t
     before = out_files(out)
     assert main(second_run) == 2
     assert f"input error: [Errno {errno.EISDIR}] output name is a directory" in capsys.readouterr().err
-    assert out_files(out) == before  # no .w2s-*.tmp left either
+    assert out_files(out) == before  # no .w2s-* stage left either
 
 
 def test_directory_at_counts_csv_changes_no_file(tmp_path, emb_file):
@@ -583,6 +585,79 @@ def test_unwritable_out_dir_exit_2(tmp_path, emb_file, capsys):
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and "Traceback" not in err
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["emb.txt", "file"]
+
+
+# the window and rates of a window rasters.jsonl cannot carry: 0.1234567 ms
+# is written as 0.123457 ms, which decode would not take
+UNCARRIED_WINDOW = ["--window-ms", "0.1234567", "--rate-plus", "1e6", "--rate-minus", "1e5", "--threshold", "5e5"]
+
+
+# the last run fails while its manifest is staged, after every other output
+@pytest.mark.parametrize("argv, rc, manifest_fails", [
+    (["encode", *UNCARRIED_WINDOW, "--seed", "1", "--out-dir", "enc/sub"], 4, False),
+    (["encode", "--mode", "lossless", "--plot-word", "fox", "--out-dir", "p/q"], 2, False),
+    (["encode", "--seed", "1", "--out-dir", "m/n"], 2, True),
+], ids=["uncarried-window", "plot-without-matplotlib", "manifest-write"])
+def test_failed_run_leaves_no_directory(tmp_path, emb_file, monkeypatch, argv, rc, manifest_fails):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setitem(sys.modules, "matplotlib", None)  # import raises ImportError
+
+    def no_space(path):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    if manifest_fails:
+        monkeypatch.setattr(cli, "_sha256", no_space)
+    before = sorted(os.listdir(tmp_path))
+    assert main([*argv, "--embeddings", emb_file]) == rc
+    assert sorted(os.listdir(tmp_path)) == before  # no out-dir and no .w2s-* stage
+
+
+def test_uncarried_window_exit_4_before_any_work(tmp_path, emb_file, capsys):
+    out = tmp_path / "e"
+    with mock.patch.object(cli, "load_embeddings", wraps=load_embeddings) as loads, \
+            mock.patch.object(cli, "generate_raster", wraps=generate_raster) as generates:
+        assert main(["encode", "--embeddings", emb_file, *UNCARRIED_WINDOW, "--seed", "1",
+                     "--out-dir", str(out)]) == 4
+    assert (loads.call_count, generates.call_count) == (0, 0)
+    assert "config error: window 0.0001234567 s is written as 0.123457 ms" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["analyze"], ["eval", "--embeddings", "{emb}", "--seed", "1"]],
+                         ids=["analyze", "eval"])
+def test_uncarried_window_runs_where_no_raster_is_written(tmp_path, emb_file, argv):
+    argv = [arg.format(emb=emb_file) for arg in argv]
+    assert main([*argv, *UNCARRIED_WINDOW, "--out-dir", str(tmp_path / "o")]) == 0
+
+
+def test_every_command_publishes_the_umask_mode_without_setting_modes(tmp_path, emb_file, monkeypatch,
+                                                                       fake_matplotlib):
+    # the writers' own open() gives each file its mode: the publish step
+    # neither reads the umask nor sets a mode
+    def refuse(*args, **kwargs):
+        raise AssertionError("the publish step read the umask or set a mode")
+
+    runs = [
+        ["quantize", "--embeddings", emb_file],
+        ["encode", "--embeddings", emb_file, "--seed", "1", "--counts", "--plot-word", "fox"],
+        ["decode", "--rasters", str(tmp_path / "encode" / "rasters.jsonl")],
+        ["analyze"],
+        ["eval", "--embeddings", emb_file, "--seed", "1"],
+    ]
+    old = os.umask(0o027)
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(os, "umask", refuse)
+            m.setattr(os, "chmod", refuse)
+            for argv in runs:
+                assert main([*argv, "--out-dir", str(tmp_path / argv[0])]) == 0
+    finally:
+        os.umask(old)
+    modes = {p.relative_to(tmp_path).as_posix(): p.stat().st_mode & 0o777 for p in tmp_path.glob("*/*")}
+    assert modes == {f"{argv[0]}/{name}": 0o640 for argv, names in zip(runs, [
+        ["ternary.txt"], ["rasters.jsonl", "counts.csv", "raster_fox.svg"], ["decoded.txt"],
+        ["analysis.json"], ["report.json", "report.txt"],
+    ]) for name in [*names, "manifest.json"]}
 
 
 def test_manifest_records_the_parsed_command(tmp_path, emb_file):

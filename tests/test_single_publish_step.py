@@ -1,5 +1,5 @@
-"""Only ``_publish`` in cli.py creates directories, temp files, renames or
-the manifest.
+"""Only ``_publish`` in cli.py creates directories, temp files, renames,
+removes trees, reads or sets modes, or writes the manifest.
 
 Every command hands its outputs to ``_publish``, which stages them all,
 renames them together and writes the manifest last, so a failed run
@@ -11,7 +11,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CLI = ROOT / "src" / "word2spike" / "cli.py"
-PUBLISH_ONLY = {"os.makedirs", "os.mkdir", "tempfile.mkstemp", "os.replace", "os.rename", "write_manifest"}
+PUBLISH_ONLY = {"os.makedirs", "os.mkdir", "tempfile.mkstemp", "tempfile.mkdtemp", "os.replace", "os.rename",
+                "shutil.rmtree", "os.umask", "os.chmod", "write_manifest"}
 
 
 def _dotted(node) -> str | None:

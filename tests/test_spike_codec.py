@@ -323,10 +323,17 @@ class TestDeferredTimes:
             assert rasters[i].counts().tolist() == oracles[i].counts().tolist()
             assert rasters[i].times.tobytes() == oracles[i].times.tobytes()
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_reads_are_bit_equal(self, mode):
-        cfg = CodecConfig(mode=mode, seed=3)
+    # each kind of source a raster holds: a Generator, None, unsigned
+    # microsecond ticks from the reader's array path, float times from json
+    @pytest.mark.parametrize("kind", ["stochastic", "lossless", "array-path", "json-path"])
+    def test_reads_are_bit_equal(self, tmp_path, kind):
+        cfg = CodecConfig(mode="lossless" if kind == "lossless" else "stochastic", seed=3)
         a, b = (generate_raster(RateVector(np.array([100.0, 0.0, 50.0])), cfg, i) for i in range(2))
+        if kind.endswith("-path"):
+            path = str(tmp_path / "r.jsonl")
+            write_raster_jsonl(path, ["a", "b"], [a, b])
+            _, (a, b) = (read_raster_jsonl if kind == "array-path" else read_through_json)(path)
+            assert a._source.dtype == (np.uint32 if kind == "array-path" else np.float64)
         first_a = a.times.tobytes()
         a.validate()
         assert a.times.tobytes() == first_a
@@ -334,9 +341,11 @@ class TestDeferredTimes:
         first_b = b.times.tobytes()
         assert a.times.tobytes() == first_a
         assert b.times.tobytes() == first_b
-        # a read returns an array of its own
-        a.times[:] = -1.0
-        assert a.times.tobytes() == first_a
+        # a read that makes its times returns an array of its own; a raster
+        # read through json returns the float times it holds
+        if kind != "json-path":
+            a.times[:] = -1.0
+            assert a.times.tobytes() == first_a
 
     def test_counts_need_no_times(self, no_spike_times):
         raster = generate_raster(RateVector(np.array([100.0, 50.0])), CodecConfig(seed=3), 0)
@@ -1023,7 +1032,7 @@ class TestRasterReader:
         with mock.patch.object(spike_codec, "_BLOCK_SPIKES", 1):
             _, back = read_raster_jsonl(path)
             assert outcome(read_raster_jsonl, path) == outcome(read_through_json, path)
-        assert [r._ticks.dtype for r in back] == [np.uint64, np.uint32]
+        assert [r._source.dtype for r in back] == [np.uint64, np.uint32]
         assert [t.tolist() for t in trains(back[0])] == [[0.5], [4294.967295, 4294.967296, 4999.999999]]
 
     def test_last_line_without_newline(self, tmp_path):
