@@ -88,7 +88,7 @@ def simlex_eval(
     b = np.array([index.row[p.word_b] for p in used], dtype=np.intp)
     sq_a, sq_b = index.sq_norms[a], index.sq_norms[b]
     zero = (sq_a == 0.0) | (sq_b == 0.0)
-    dots = np.einsum("ij,ij->i", index.matrix[a], index.matrix[b])
+    dots = np.einsum("ij,ij->i", index.matrix[a], index.matrix[b], dtype=np.float64)
     norms = np.sqrt(sq_a) * np.sqrt(sq_b)
     sims = np.clip(np.divide(dots, norms, out=np.zeros_like(dots), where=~zero), -1.0, 1.0)
     if zero.any():
@@ -100,22 +100,29 @@ def simlex_eval(
     return spearman(sims, [p.human_score for p in used]), len(used), skipped
 
 
-# rows x vocabulary cells scored per matrix product in _NeighborIndex.top_k;
-# 2**19 float64 cells keep each block's temporaries near 4 MB
-_BLOCK_CELLS = 2**19
+# query rows scored per matrix product in _NeighborIndex.top_k: a block's
+# scores are 128 x n float64, 2 MB at 2k words and 10 MB at 10k
+_BLOCK_ROWS = 128
+
+# float32 holds every integer of magnitude below 2**24 exactly
+_FLOAT32_EXACT = 2**24
 
 
 class _NeighborIndex:
     """Exact brute-force cosine search over a vocabulary, batched.
 
-    Queries are scored in row blocks, one matrix product per block.
-    Zero-norm words are excluded from rankings (their cosine is defined as
-    0, which would rank arbitrarily), and a zero query has no neighbours.
-    Rankings are by (-score, token): rows stay in the caller's order, and
-    each row's rank among the sorted tokens breaks equal scores toward the
-    smaller token.  The score is the key ``sign(d) * d**2 / |row|**2`` of
-    the dot product ``d``, which ranks as the cosine does and is exact for
-    ternary rows and integer queries.
+    Queries are scored in blocks of _BLOCK_ROWS rows, one matrix product
+    per block.  Zero-norm words are excluded from rankings (their cosine is
+    defined as 0, which would rank arbitrarily), and a zero query has no
+    neighbours.  Rankings are by (-score, token): rows stay in the caller's
+    order, and each row's rank among the sorted tokens breaks equal scores
+    toward the smaller token.  The score is the key ``sign(d) * d**2 /
+    |row|**2`` of the dot product ``d``, which ranks as the cosine does and
+    is exact for ternary rows and integer queries.
+
+    An integer matrix whose every |entry| is below 2**24, such as the int8
+    ternary codes, is held as float32, half the bytes of float64; any
+    other matrix is held as float64.  ``sq_norms`` are float64 either way.
     """
 
     def __init__(self, words, matrix: np.ndarray):
@@ -123,11 +130,18 @@ class _NeighborIndex:
         matrix is used without a copy."""
         self.words = tuple(words)
         self.row = {w: i for i, w in enumerate(self.words)}
-        self.matrix = np.asarray(matrix, dtype=np.float64)
+        matrix = np.asarray(matrix)
+        # the largest |entry| of an integer matrix, else None
+        self.max_abs = (
+            max(-int(matrix.min(initial=0)), int(matrix.max(initial=0)))
+            if np.issubdtype(matrix.dtype, np.integer) else None
+        )
+        small = self.max_abs is not None and self.max_abs < _FLOAT32_EXACT
+        self.matrix = np.asarray(matrix, dtype=np.float32 if small else np.float64)
         # each row's place in token order (the inverse of the sorting
         # permutation), the last ranking key
         self.token_rank = np.argsort(sorted(range(len(self.words)), key=self.words.__getitem__))
-        self.sq_norms = np.einsum("ij,ij->i", self.matrix, self.matrix)
+        self.sq_norms = np.einsum("ij,ij->i", self.matrix, self.matrix, dtype=np.float64)
         self._own: dict[int, list[list[str]]] = {}
 
     @cached_property
@@ -148,15 +162,29 @@ class _NeighborIndex:
         ``exclude`` is an (m, e) array of row indices ranked out per query.
         Returns m lists, each shorter than k only when the vocabulary runs
         out.
+
+        A float32 index multiplies a block of queries in float32 when the
+        queries are integers and the block's largest L1 norm times the
+        index's largest |entry| is below 2**24: every partial sum is then an
+        integer below 2**24, exact in float32 whatever the order of the
+        sums.  Any other block is multiplied in float64.  The product is
+        widened to float64 before the key is formed, so scores do not
+        depend on which product made them.
         """
-        queries = np.asarray(queries, dtype=np.float64)
+        queries = np.asarray(queries)
         n = len(self.words)
-        step = max(1, _BLOCK_CELLS // n)
         sq_norms = np.where(self.zero_norm, 1.0, self.sq_norms)
+        wide = self.matrix if self.matrix.dtype == np.float64 else None
         out: list[list[str]] = []
-        for lo in range(0, len(queries), step):
-            block = queries[lo : lo + step]
-            scores = block @ self.matrix.T
+        for lo in range(0, len(queries), _BLOCK_ROWS):
+            block = queries[lo : lo + _BLOCK_ROWS]
+            if wide is None and self._exact_in_float32(block):
+                scores = (block.astype(np.float32) @ self.matrix.T).astype(np.float64)
+            else:
+                if wide is None:
+                    # made once per call, and only for queries float32 would round
+                    wide = self.matrix.astype(np.float64)
+                scores = block.astype(np.float64, copy=False) @ wide.T
             # d * |d| / |row|**2 ranks as d / |row| does.  For ternary rows
             # (|row|**2 <= dim) and integer queries with sum|q| * dim < 2**26
             # it is exact and order-faithful in float64: d and d**2 are exact
@@ -166,9 +194,18 @@ class _NeighborIndex:
             scores /= sq_norms
             scores[:, self.zero_norm] = -np.inf
             scores[~block.any(axis=1)] = -np.inf
-            scores[np.arange(len(block))[:, None], exclude[lo : lo + step]] = -np.inf
+            scores[np.arange(len(block))[:, None], exclude[lo : lo + _BLOCK_ROWS]] = -np.inf
             out.extend(self._rank(scores, min(k, n)))
         return out
+
+    def _exact_in_float32(self, block: np.ndarray) -> bool:
+        """Whether ``block @ matrix.T`` is exact in float32: integer queries
+        whose L1 norms times the largest |entry| (at least 1, so that every
+        query entry is itself exact) stay below 2**24."""
+        if not np.issubdtype(block.dtype, np.integer) and not (np.rint(block) == block).all():
+            return False
+        l1 = np.abs(block, dtype=np.float64).sum(axis=1).max(initial=0.0)
+        return l1 * max(self.max_abs, 1) < _FLOAT32_EXACT
 
     def _rank(self, scores: np.ndarray, k: int) -> list[list[str]]:
         # per query row: every candidate scoring at least the k-th largest
@@ -244,6 +281,7 @@ def analogy_eval(
         raise EvaluationError(f"all {skipped} analogy quads skipped (OOV)")
     abc = np.array([[index.row[q.a], index.row[q.b], index.row[q.c]] for q in used], dtype=np.intp)
     m = index.matrix
+    # in the index's dtype: small exact integers for ternary codes
     targets = m[abc[:, 1]] - m[abc[:, 0]] + m[abc[:, 2]]
     tops = index.top_k(targets, 1, abc)
     correct = sum(1 for top, q in zip(tops, used) if top and top[0] == q.d)

@@ -201,7 +201,8 @@ class SpikeRaster:
     from them at every read.  A read of a stochastic raster sets and
     restores state, so such a raster must not be read from two threads at
     once.  Counts are int32 in every raster but one made by ``_deferred``
-    from other counts.
+    from other counts.  Every read of ``times`` returns a read-only array,
+    so no caller can change a raster's times through it.
     """
 
     __slots__ = ("window_s", "_counts", "_source")
@@ -234,12 +235,14 @@ class SpikeRaster:
     def times(self) -> np.ndarray:
         source = self._source
         if not isinstance(source, np.ndarray):
-            return _spike_times(self._counts, self.window_s, source)
-        if source.dtype == np.float64:
-            return source
-        # (ticks / 1000.0) / 1000.0, the arithmetic of the reader's json path
-        times = source / 1000.0
-        times /= 1000.0
+            times = _spike_times(self._counts, self.window_s, source)
+        elif source.dtype == np.float64:
+            times = source.view()
+        else:
+            # (ticks / 1000.0) / 1000.0, the arithmetic of the reader's json path
+            times = source / 1000.0
+            times /= 1000.0
+        times.flags.writeable = False
         return times
 
     def __len__(self) -> int:

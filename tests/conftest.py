@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -38,3 +40,16 @@ def random_set():
 def write_lines(path, lines):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return str(path)
+
+
+def traced(call):
+    """call()'s result, the most memory traced above the start while it
+    ran, and the memory it allocated that is still held when it returns."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - before, held - before

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import traced
 from word2spike import evaluator
 from word2spike.corpus_io import AnalogyQuad, EmbeddingSet, SimilarityPair
 from word2spike.evaluator import (
@@ -101,22 +102,22 @@ def ternary_searches(draw):
         max_size=len(queries),
     ))
     k = draw(st.integers(1, n + 3))
-    block_cells = draw(st.sampled_from([1, 3, 2 * n + 1, evaluator._BLOCK_CELLS]))
+    block_rows = draw(st.sampled_from([1, 2, 3, evaluator._BLOCK_ROWS]))
     # tokens in row order, reversed, or shuffled: ties break by token, not row
     tokens = draw(st.one_of(
         st.just(row_tokens(n)), st.just(row_tokens(n)[::-1]), st.permutations(row_tokens(n))
     ))
-    return rows, tokens, queries, exclude, k, block_cells
+    return rows, tokens, queries, exclude, k, block_rows
 
 
 class TestTernaryExactness:
     @settings(max_examples=300, deadline=None)
     @given(ternary_searches())
     def test_matches_exact_oracle_word_for_word(self, search):
-        rows, tokens, queries, exclude, k, block_cells = search
+        rows, tokens, queries, exclude, k, block_rows = search
         index = _NeighborIndex(tokens, np.array(rows, dtype=np.int8))
         queries_arr = np.array(queries, dtype=np.float64)
-        with mock.patch.object(evaluator, "_BLOCK_CELLS", block_cells):
+        with mock.patch.object(evaluator, "_BLOCK_ROWS", block_rows):
             got = index.top_k(queries_arr, k, np.array(exclude, dtype=np.intp))
         expected = [exact_top_k(rows, tokens, q, k, set(ex)) for q, ex in zip(queries, exclude)]
         assert got == expected
@@ -175,9 +176,79 @@ class TestFloatMaps:
         queries = matrix[::2] + matrix[1::2]
         exclude = np.arange(60).reshape(30, 2)
         whole = index.top_k(queries, 10, exclude)
-        for cells in (3, 3 * len(matrix), 7 * len(matrix) + 1):
-            monkeypatch.setattr(evaluator, "_BLOCK_CELLS", cells)
+        for rows in (1, 3, 7):
+            monkeypatch.setattr(evaluator, "_BLOCK_ROWS", rows)
             assert index.top_k(queries, 10, exclude) == whole
+
+
+class TestFloat32Index:
+    def test_integer_codes_are_held_in_four_bytes(self):
+        codes = np.random.default_rng(7).integers(-1, 2, size=(50, 12)).astype(np.int8)
+        index = _NeighborIndex(row_tokens(50), codes)
+        assert index.matrix.dtype == np.float32 and index.matrix.nbytes == 4 * codes.size
+        assert index.sq_norms.dtype == np.float64
+        # an |entry| of 2**24 or more keeps float64
+        wide = _NeighborIndex(row_tokens(2), np.array([[2**24, 0], [0, 1]], dtype=np.int32))
+        assert wide.matrix.dtype == np.float64
+
+    def test_products_past_2_24_are_multiplied_in_float64(self):
+        # d = 5000 * 4096 +- 1; float32 spaces integers 2 apart above 2**24,
+        # so both products would round to 20480000 and tie, and the tie
+        # would go to w000
+        rows = np.array([[4096, -1], [4096, 1]], dtype=np.int16)
+        index = _NeighborIndex(row_tokens(2), rows)
+        assert index.matrix.dtype == np.float32
+        query = [5000, 1]
+        expected = exact_top_k(rows.tolist(), row_tokens(2), query, 2, set())
+        assert expected == ["w001", "w000"]
+        assert index.top_k(np.array([query]), 2, np.zeros((1, 0), dtype=np.intp)) == [expected]
+
+    @pytest.mark.parametrize("block_rows", [1, 5, 128])
+    def test_large_integer_codes_match_the_exact_oracle(self, monkeypatch, block_rows):
+        # small queries stay below 2**24 and are multiplied in float32, the
+        # heavy ones pass it and are not; blocks of 5 mix the two
+        rng = np.random.default_rng(8)
+        rows = rng.integers(-4096, 4097, size=(40, 6))
+        queries = np.vstack([rng.integers(-3, 4, size=(12, 6)), rng.integers(-5000, 5001, size=(12, 6))])
+        queries = queries[rng.permutation(len(queries))]
+        exclude = rng.integers(0, 40, size=(len(queries), 2))
+        index = _NeighborIndex(row_tokens(40), rows.astype(np.int16))
+        monkeypatch.setattr(evaluator, "_BLOCK_ROWS", block_rows)
+        got = index.top_k(queries, 5, exclude)
+        tokens = row_tokens(40)
+        assert got == [exact_top_k(rows.tolist(), tokens, q, 5, set(ex)) for q, ex in zip(queries.tolist(), exclude)]
+
+    @pytest.mark.parametrize("block_rows", [50, 128])
+    def test_non_integer_queries_match_a_float64_index(self, monkeypatch, block_rows):
+        rng = np.random.default_rng(9)
+        codes = rng.integers(-1, 2, size=(200, 16)).astype(np.int8)
+        narrow = _NeighborIndex(row_tokens(200), codes)
+        wide = _NeighborIndex(row_tokens(200), codes.astype(np.float64))
+        queries = np.vstack([rng.standard_normal((100, 16)), codes[:50] + 0.5, codes[:50]])
+        exclude = rng.integers(0, 200, size=(len(queries), 2))
+        monkeypatch.setattr(evaluator, "_BLOCK_ROWS", block_rows)
+        assert narrow.top_k(queries, 10, exclude) == wide.top_k(queries, 10, exclude)
+        # equal cosines in float32, 1 + 2**-30 rounding to 1: the query is
+        # nearer w001 in float64, and a float32 tie would go to w000
+        two = _NeighborIndex(row_tokens(2), np.array([[0, 1], [1, 0]], dtype=np.int8))
+        assert two.top_k(np.array([[1 + 2**-30, 1.0]]), 2, np.zeros((1, 0), dtype=np.intp)) == [
+            ["w001", "w000"]
+        ]
+
+
+class TestMemory:
+    def test_the_block_bounds_the_search_memory(self):
+        peaks = []
+        for n in (2000, 4000):
+            codes = np.random.default_rng(10).integers(-1, 2, size=(n, 300)).astype(np.int8)
+            tops, peak, _ = traced(lambda: _NeighborIndex(row_tokens(n), codes).own_top_k(10))
+            assert len(tops) == n
+            # the float32 index and three blocks of float64 scores, plus
+            # the words, the lists and the small arrays
+            assert peak < 4 * codes.size + 3 * evaluator._BLOCK_ROWS * n * 8 + 2**20
+            peaks.append(peak)
+        # twice the words in about twice the memory, not four times
+        assert peaks[1] < 2.2 * peaks[0]
 
 
 @pytest.fixture
