@@ -107,6 +107,11 @@ _BLOCK_ROWS = 128
 # float32 holds every integer of magnitude below 2**24 exactly
 _FLOAT32_EXACT = 2**24
 
+# _NeighborIndex._rank bounds each row's k-th score by the maxima of
+# _GROUPS_PER_K * k disjoint column groups, when every group holds at
+# least two columns
+_GROUPS_PER_K = 4
+
 
 class _NeighborIndex:
     """Exact brute-force cosine search over a vocabulary, batched.
@@ -142,7 +147,7 @@ class _NeighborIndex:
         # permutation), the last ranking key
         self.token_rank = np.argsort(sorted(range(len(self.words)), key=self.words.__getitem__))
         self.sq_norms = np.einsum("ij,ij->i", self.matrix, self.matrix, dtype=np.float64)
-        self._own: dict[int, list[list[str]]] = {}
+        self._own: dict[int, np.ndarray] = {}
 
     @cached_property
     def zero_norm(self) -> np.ndarray:
@@ -156,47 +161,49 @@ class _NeighborIndex:
     def __contains__(self, word: str) -> bool:
         return word in self.row
 
-    def top_k(self, queries: np.ndarray, k: int, exclude: np.ndarray) -> list[list[str]]:
-        """Top-k words for each row of an (m, d) query matrix.
+    def top_k(self, queries: np.ndarray, k: int, exclude: np.ndarray) -> np.ndarray:
+        """The rows of the top-k words for each row of an (m, d) query matrix.
 
         ``exclude`` is an (m, e) array of row indices ranked out per query.
-        Returns m lists, each shorter than k only when the vocabulary runs
-        out.
+        Returns an (m, k) intp table whose row i holds query i's neighbours
+        best first, padded at its end with -1 where the vocabulary runs out
+        (a zero query has no neighbour, so its row is all -1).
 
         A float32 index multiplies a block of queries in float32 when the
         queries are integers and the block's largest L1 norm times the
         index's largest |entry| is below 2**24: every partial sum is then an
         integer below 2**24, exact in float32 whatever the order of the
-        sums.  Any other block is multiplied in float64.  The product is
-        widened to float64 before the key is formed, so scores do not
-        depend on which product made them.
+        sums.  Any other block is multiplied in float64.  A float32 product
+        is widened to float64 in the multiply that forms the key, so scores
+        do not depend on which product made them.
         """
         queries = np.asarray(queries)
-        n = len(self.words)
         sq_norms = np.where(self.zero_norm, 1.0, self.sq_norms)
         wide = self.matrix if self.matrix.dtype == np.float64 else None
-        out: list[list[str]] = []
+        top = np.full((len(queries), k), -1, dtype=np.intp)
         for lo in range(0, len(queries), _BLOCK_ROWS):
             block = queries[lo : lo + _BLOCK_ROWS]
-            if wide is None and self._exact_in_float32(block):
-                scores = (block.astype(np.float32) @ self.matrix.T).astype(np.float64)
-            else:
-                if wide is None:
-                    # made once per call, and only for queries float32 would round
-                    wide = self.matrix.astype(np.float64)
-                scores = block.astype(np.float64, copy=False) @ wide.T
             # d * |d| / |row|**2 ranks as d / |row| does.  For ternary rows
             # (|row|**2 <= dim) and integer queries with sum|q| * dim < 2**26
             # it is exact and order-faithful in float64: d and d**2 are exact
             # integers, and two distinct keys differ by at least 1 / dim**2,
             # more than rounding can close, so ties are true ties
-            scores *= np.abs(scores)
+            if wide is None and self._exact_in_float32(block):
+                product = block.astype(np.float32) @ self.matrix.T
+                scores = np.multiply(product, np.abs(product), dtype=np.float64)
+            else:
+                if wide is None:
+                    # made once per call, and only for queries float32 would round
+                    wide = self.matrix.astype(np.float64)
+                scores = block.astype(np.float64, copy=False) @ wide.T
+                # in place: a third block-sized array would raise the peak
+                scores *= np.abs(scores)
             scores /= sq_norms
             scores[:, self.zero_norm] = -np.inf
             scores[~block.any(axis=1)] = -np.inf
             scores[np.arange(len(block))[:, None], exclude[lo : lo + _BLOCK_ROWS]] = -np.inf
-            out.extend(self._rank(scores, min(k, n)))
-        return out
+            self._rank(scores, top[lo : lo + _BLOCK_ROWS, : len(self.words)])
+        return top
 
     def _exact_in_float32(self, block: np.ndarray) -> bool:
         """Whether ``block @ matrix.T`` is exact in float32: integer queries
@@ -207,28 +214,42 @@ class _NeighborIndex:
         l1 = np.abs(block, dtype=np.float64).sum(axis=1).max(initial=0.0)
         return l1 * max(self.max_abs, 1) < _FLOAT32_EXACT
 
-    def _rank(self, scores: np.ndarray, k: int) -> list[list[str]]:
-        # per query row: every candidate scoring at least the k-th largest
-        # (ties at the k-th place included), ordered by (-score, token)
-        kth = np.partition(scores, -k, axis=1)[:, -k]
-        flat = np.flatnonzero(scores >= kth[:, None])
+    def _rank(self, scores: np.ndarray, top: np.ndarray) -> None:
+        """Write into each row of ``top``, of k <= n columns, the columns of
+        its row of ``scores`` with the k largest finite scores, ordered by
+        (-score, token); a row with fewer finite scores keeps the rest."""
+        k = top.shape[1]
+        width = scores.shape[1] // (_GROUPS_PER_K * k)
+        if width < 2:
+            bound = np.partition(scores, -k, axis=1)[:, -k]
+        else:
+            # k of the disjoint groups hold a score at least the k-th
+            # largest of their maxima, so at least k scores are: the bound
+            # is at most the k-th largest score
+            starts = np.arange(0, _GROUPS_PER_K * k * width, width)
+            bound = np.partition(np.maximum.reduceat(scores, starts, axis=1), -k, axis=1)[:, -k]
+        # every candidate scoring at least the bound (ties at the k-th
+        # place included), ordered by (row, -score, token)
+        flat = np.flatnonzero(scores >= bound[:, None])
         values = scores.ravel()[flat]
         finite = values > -np.inf
         flat, values = flat[finite], values[finite]
         rows, cols = np.divmod(flat, scores.shape[1])
         order = np.lexsort((self.token_rank[cols], -values, rows))
         rows, cols = rows[order], cols[order]
-        starts = np.searchsorted(rows, np.arange(len(scores) + 1))
-        return [
-            [self.words[i] for i in cols[a : min(b, a + k)]]
-            for a, b in zip(starts[:-1], starts[1:])
-        ]
+        # each candidate's place in its row's ranking
+        place = np.arange(len(rows)) - np.searchsorted(rows, rows)
+        first = place < k
+        top[rows[first], place[first]] = cols[first]
 
-    def own_top_k(self, k: int) -> list[list[str]]:
-        """Every word's top-k list in row order, each word ranking itself
-        out; computed in one search at the first use of each k."""
+    def own_top_k(self, k: int) -> np.ndarray:
+        """Every word's top-k table row, as ``top_k`` gives it, in row
+        order, each word ranking itself out; computed in one search at the
+        first use of each k, and read-only, as it is shared."""
         if k not in self._own:
-            self._own[k] = self.top_k(self.matrix, k, np.arange(len(self.words))[:, None])
+            top = self.top_k(self.matrix, k, np.arange(len(self.words))[:, None])
+            top.flags.writeable = False
+            self._own[k] = top
         return self._own[k]
 
 
@@ -247,9 +268,12 @@ def overlap_at_k(
     """Mean |top-k(a) ∩ top-k(b)| / k over the words both sides hold.
 
     Either side may be a prebuilt index, whose top-k table is reused;
-    each index computes every word's top-k list once per k.  The integer
-    intersection sizes are summed and divided once, so the mean is the
-    correctly rounded fraction whatever the word order.
+    each index computes every word's top-k row once per k.  The second
+    side's rows are mapped to the first's, with -2 for a word the first
+    lacks and for -1 padding, so neither matches any entry of the first
+    side's table, and the hits are counted by comparing the two tables.
+    The integer hit total is divided once, so the mean is the correctly
+    rounded fraction whatever the word order.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -257,8 +281,13 @@ def overlap_at_k(
     words = [w for w in index_a.words if w in index_b]
     if not words:
         raise EvaluationError("empty shared vocabulary")
-    tops_a, tops_b = index_a.own_top_k(k), index_b.own_top_k(k)
-    hits = sum(len(set(tops_a[index_a.row[w]]) & set(tops_b[index_b.row[w]])) for w in words)
+    rows_a = np.array([index_a.row[w] for w in words], dtype=np.intp)
+    rows_b = np.array([index_b.row[w] for w in words], dtype=np.intp)
+    # index_b's row j is index_a's row to_a[j]; the last entry takes -1
+    to_a = np.array([index_a.row.get(w, -2) for w in index_b.words] + [-2], dtype=np.intp)
+    tops_a = index_a.own_top_k(k)[rows_a]
+    tops_b = to_a[index_b.own_top_k(k)[rows_b]]
+    hits = int(np.count_nonzero(tops_a[:, :, None] == tops_b[:, None, :]))
     return hits / (k * len(words))
 
 
@@ -283,8 +312,9 @@ def analogy_eval(
     m = index.matrix
     # in the index's dtype: small exact integers for ternary codes
     targets = m[abc[:, 1]] - m[abc[:, 0]] + m[abc[:, 2]]
-    tops = index.top_k(targets, 1, abc)
-    correct = sum(1 for top, q in zip(tops, used) if top and top[0] == q.d)
+    d = np.array([index.row[q.d] for q in used], dtype=np.intp)
+    # a query with no neighbour has top-1 row -1, never d's row
+    correct = int(np.count_nonzero(index.top_k(targets, 1, abc)[:, 0] == d))
     return correct / len(used), len(used), skipped
 
 
@@ -388,7 +418,7 @@ def full_report(
     for the original, quantized, and spike-decoded representations.
 
     One neighbour index is built per representation and shared by all its
-    metrics; the original's top-10 lists are computed once.  When the
+    metrics; the original's top-10 table is computed once.  When the
     decoded codes equal the quantized ones, as in lossless mode, the spike
     metrics are the quantized metrics and no third index is built."""
     result = roundtrip(original, cfg)

@@ -366,18 +366,29 @@ class RoundTripResult:
 def roundtrip(es, cfg: CodecConfig) -> RoundTripResult:
     """quantize -> rates -> Poisson spike counts -> decode, for every word.
 
-    stream_id is the word's vocabulary index, making per-word generation
-    independent of processing order.  Decoding reads counts only, so no
-    spike time is made.
+    Lossless counts depend on the code only, so lossless mode generates one
+    raster, of the three levels -1, 0 and +1, decodes it into a table of
+    three codes, and looks every word's codes up in it.  Stochastic mode
+    generates one raster per word, with the word's vocabulary index as
+    stream_id, so generation does not depend on processing order; its
+    counts fill one (n, d) int32 matrix, decoded in one pass.  Decoding
+    reads counts only, so no spike time is made.
     """
     ternary = quantize_all(es)
-    decoded = np.empty_like(ternary.values)
+    codes = ternary.values
     k_star = cfg.count_threshold
-    for i, row in enumerate(ternary.values):
-        raster = generate_raster(rates_from_ternary(row, cfg), cfg, stream_id=i)
-        decoded[i] = _decode_counts(raster.counts(), k_star)
+    if cfg.mode == "lossless":
+        levels = rates_from_ternary(np.array([-1, 0, 1], np.int8), cfg)
+        table = _decode_counts(generate_raster(levels, cfg, stream_id=0).counts(), k_star)
+        # code c's decoded code is at c + 1
+        decoded = table[codes + 1]
+    else:
+        counts = np.empty(codes.shape, dtype=np.int32)
+        for i, row in enumerate(codes):
+            counts[i] = generate_raster(rates_from_ternary(row, cfg), cfg, stream_id=i).counts()
+        decoded = _decode_counts(counts, k_star)
     decoded_set = TernarySet(ternary.words, decoded)
-    matches = np.all(decoded == ternary.values, axis=1)
+    matches = np.all(decoded == codes, axis=1)
     return RoundTripResult(ternary, decoded_set, matches)
 
 
@@ -865,8 +876,14 @@ def write_counts_csv(path: str, words, rasters) -> None:
     """Compact export: word,c1,c2,...,cn spike counts per dimension.  The
     word is written by the csv module, so a word holding a comma or a quote
     is quoted by its rules; the counts come from lanes in blocks of about
-    _BLOCK_SPIKES counts."""
+    _BLOCK_SPIKES counts.  Before the file is opened, ValueError names a
+    word that UTF-8 cannot encode, such as a lone surrogate."""
     records = _records(words, rasters)
+    for word in words:
+        try:
+            word.encode()
+        except UnicodeEncodeError:
+            raise ValueError(f"word {word!r}: UTF-8 cannot encode it") from None
     # writerow returns what its file's write returns: here the row's text
     csv_row = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
     with open(path, "wb") as fh:

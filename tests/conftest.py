@@ -53,3 +53,9 @@ def traced(call):
     finally:
         tracemalloc.stop()
     return result, peak - before, held - before
+
+
+def word_lists(index, top):
+    """A neighbour index's (m, k) table of rows as m lists of its words,
+    the -1 padding dropped."""
+    return [[index.words[j] for j in row if j >= 0] for row in top]

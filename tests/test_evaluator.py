@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import word_lists
 from word2spike.corpus_io import AnalogyQuad, EmbeddingSet, SimilarityPair
 from word2spike.evaluator import (
     EvaluationError,
@@ -181,7 +182,7 @@ class TestSimlexEval:
 def neighbors(vectors, query, k):
     """Top-k cosine neighbours of a vocabulary word, the word itself ranked out."""
     index = _as_index(vectors)
-    return index.own_top_k(k)[index.row[query]]
+    return word_lists(index, index.own_top_k(k))[index.row[query]]
 
 
 class TestNeighbors:
@@ -208,6 +209,32 @@ class TestNeighbors:
     def test_zero_norm_excluded(self):
         vectors = {"q": np.ones(2), "zero": np.zeros(2), "a": np.ones(2)}
         assert neighbors(vectors, "q", 5) == ["a"]
+
+
+def set_overlap(map_a, map_b, k):
+    """The earlier formula of overlap_at_k: the shared words' top-k word
+    lists intersected as Python sets, the sizes summed and divided once."""
+    index_a, index_b = _as_index(map_a), _as_index(map_b)
+    lists_a, lists_b = (word_lists(index, index.own_top_k(k)) for index in (index_a, index_b))
+    words = [w for w in index_a.words if w in index_b]
+    hits = sum(len(set(lists_a[index_a.row[w]]) & set(lists_b[index_b.row[w]])) for w in words)
+    return hits / (k * len(words))
+
+
+@st.composite
+def overlap_pairs(draw):
+    """Two word -> vector maps over partly disjoint vocabularies, each in
+    its own row order, with small integer vectors (zero ones included) and
+    k up to past the vocabulary, so some top-k lists are shorter than k."""
+    pool = [f"w{i}" for i in range(10)]
+    dim = draw(st.integers(1, 3))
+    vector = st.lists(st.integers(-1, 1), min_size=dim, max_size=dim).map(np.array)
+    maps = []
+    for _ in range(2):
+        words = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=len(pool), unique=True))
+        maps.append({w: draw(vector) for w in words})
+    k = draw(st.integers(1, 12))
+    return *maps, k
 
 
 class TestOverlapAtK:
@@ -237,12 +264,22 @@ class TestOverlapAtK:
         with pytest.raises(EvaluationError):
             overlap_at_k({"a": np.ones(2)}, {"b": np.ones(2)}, 1)
 
+    @settings(max_examples=200, deadline=None)
+    @given(overlap_pairs())
+    def test_equals_the_set_formula(self, maps):
+        map_a, map_b, k = maps
+        if not set(map_a) & set(map_b):
+            with pytest.raises(EvaluationError):
+                overlap_at_k(map_a, map_b, k)
+            return
+        assert overlap_at_k(map_a, map_b, k) == set_overlap(map_a, map_b, k)
+
     def test_exact_whatever_the_word_order(self):
         es = order_sensitive_set()
         ternary = quantize_all(es)
         map_a, map_b = es.as_map(), dict(zip(ternary.words, ternary.values))
         assert list(map_a) == list(map_b) == list(es.words)  # row i is the same word on both sides
-        tops = (_as_index(m).own_top_k(10) for m in (map_a, map_b))
+        tops = (word_lists(index, index.own_top_k(10)) for index in map(_as_index, (map_a, map_b)))
         hits = sum(len(set(a) & set(b)) for a, b in zip(*tops))
         exact = float(Fraction(hits, 10 * len(es.words)))
         # each side in its own row order: the sum runs in the first side's
@@ -285,6 +322,15 @@ class TestAnalogyEval:
         vectors, quads = self.exact_fixture()
         scaled = {w: 7.5 * v for w, v in vectors.items()}
         assert analogy_eval(scaled, quads) == analogy_eval(vectors, quads)
+
+    def test_query_with_no_neighbour_is_wrong(self):
+        # the second quad's target e - a + zero is the zero vector, which
+        # has no neighbour, so its fourth word is not found
+        vectors, quads = self.exact_fixture()
+        vectors["e"] = vectors["a"].copy()
+        vectors["zero"] = np.zeros(4)
+        quads.append(AnalogyQuad("a", "e", "zero", "d"))
+        assert analogy_eval(vectors, quads) == (0.5, 2, 0)
 
     def test_query_words_excluded(self):
         # without exclusion, b itself would beat d

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import traced
+from conftest import traced, word_lists
 from word2spike import evaluator
 from word2spike.corpus_io import AnalogyQuad, EmbeddingSet, SimilarityPair
 from word2spike.evaluator import (
@@ -110,6 +110,42 @@ def ternary_searches(draw):
     return rows, tokens, queries, exclude, k, block_rows
 
 
+@st.composite
+def bound_searches(draw):
+    """Searches at the edges of _rank's bound on the k-th score: n about
+    _GROUPS_PER_K * k * 2 words, where the column groups reach a width of
+    2 and replace the full-row partition, or twice that; k above n; rows
+    with fewer than k finite scores, through zero-norm rows and
+    exclusions; and ternary codes of few dimensions, which tie often at
+    the k-th place."""
+    k = draw(st.integers(1, 4))
+    edge = evaluator._GROUPS_PER_K * k * 2
+    n = draw(st.one_of(st.integers(edge - 2, edge + 2), st.just(2 * edge + 1), st.integers(1, k)))
+    dim = draw(st.integers(1, 3))
+    codes = st.lists(st.integers(-1, 1), min_size=dim, max_size=dim)
+    rows = draw(st.lists(codes, min_size=n, max_size=n))
+    for j in draw(st.lists(st.integers(0, n - 1), max_size=n // 2)):
+        rows[j] = [0] * dim
+    queries = draw(st.lists(
+        st.one_of(
+            st.integers(0, n - 1).map(lambda j: rows[j]),
+            st.tuples(*[st.integers(0, n - 1)] * 3).map(
+                lambda t: [b - a + c for a, b, c in zip(rows[t[0]], rows[t[1]], rows[t[2]])]
+            ),
+        ),
+        min_size=1,
+        max_size=6,
+    ))
+    n_excluded = draw(st.integers(0, n))
+    exclude = draw(st.lists(
+        st.lists(st.integers(0, n - 1), min_size=n_excluded, max_size=n_excluded),
+        min_size=len(queries),
+        max_size=len(queries),
+    ))
+    tokens = draw(st.permutations(row_tokens(n)))
+    return rows, tokens, queries, exclude, k
+
+
 class TestTernaryExactness:
     @settings(max_examples=300, deadline=None)
     @given(ternary_searches())
@@ -118,17 +154,31 @@ class TestTernaryExactness:
         index = _NeighborIndex(tokens, np.array(rows, dtype=np.int8))
         queries_arr = np.array(queries, dtype=np.float64)
         with mock.patch.object(evaluator, "_BLOCK_ROWS", block_rows):
-            got = index.top_k(queries_arr, k, np.array(exclude, dtype=np.intp))
+            got = word_lists(index, index.top_k(queries_arr, k, np.array(exclude, dtype=np.intp)))
         expected = [exact_top_k(rows, tokens, q, k, set(ex)) for q, ex in zip(queries, exclude)]
         assert got == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(bound_searches())
+    def test_the_kth_score_bound_keeps_the_exact_ranking(self, search):
+        rows, tokens, queries, exclude, k = search
+        index = _NeighborIndex(tokens, np.array(rows, dtype=np.int8))
+        top = index.top_k(np.array(queries, dtype=np.int8), k, np.array(exclude, dtype=np.intp))
+        assert top.shape == (len(queries), k) and top.dtype == np.intp
+        expected = [exact_top_k(rows, tokens, q, k, set(ex)) for q, ex in zip(queries, exclude)]
+        assert word_lists(index, top) == expected
+        # the padding is -1, and only at the end of a row
+        assert [row.tolist() for row in top] == [
+            [tokens.index(t) for t in words] + [-1] * (k - len(words)) for words in expected
+        ]
 
     def test_ties_at_the_kth_place_break_toward_the_smaller_token(self):
         # the third place is a tie between two rows in both searches
         rows = np.array([[1, 1, 0], [1, 0, 0], [0, 1, 0], [1, 0, 1], [0, 1, 1], [0, 0, 0]])
         index = _NeighborIndex(row_tokens(6), rows)
-        got = index.top_k(np.array([[1.0, 1.0, 1.0]]), 3, np.array([[0]]))
+        got = word_lists(index, index.top_k(np.array([[1.0, 1.0, 1.0]]), 3, np.array([[0]])))
         assert got == [["w003", "w004", "w001"]]
-        assert index.top_k(np.array([[1.0, 1.0, 0.0]]), 3, np.array([[0]])) == [
+        assert word_lists(index, index.top_k(np.array([[1.0, 1.0, 0.0]]), 3, np.array([[0]]))) == [
             ["w001", "w002", "w003"]
         ]
 
@@ -141,12 +191,12 @@ class TestTernaryExactness:
         query[0, [0, 2, 3]] = 1.0
         index = _NeighborIndex(row_tokens(2), rows)
         nothing = np.zeros((1, 0), dtype=np.intp)
-        assert index.top_k(query, 1, nothing) == [["w000"]]
-        assert index.top_k(query, 2, nothing) == [["w000", "w001"]]
+        assert word_lists(index, index.top_k(query, 1, nothing)) == [["w000"]]
+        assert word_lists(index, index.top_k(query, 2, nothing)) == [["w000", "w001"]]
 
     def test_zero_query_and_exhausted_vocabulary_give_empty_lists(self):
         index = _NeighborIndex(row_tokens(2), np.array([[1.0, 0.0], [0.0, 0.0]]))
-        got = index.top_k(np.array([[0.0, 0.0], [1.0, 1.0]]), 5, np.array([[0], [0]]))
+        got = word_lists(index, index.top_k(np.array([[0.0, 0.0], [1.0, 1.0]]), 5, np.array([[0], [0]])))
         assert got == [[], []]
 
 
@@ -162,7 +212,7 @@ class TestFloatMaps:
         targets = matrix[triples[:, 1]] - matrix[triples[:, 0]] + matrix[triples[:, 2]]
         queries = np.vstack([matrix, targets])
         exclude = np.vstack([np.repeat(np.arange(80)[:, None], 3, axis=1), triples])
-        got = index.top_k(queries, k, exclude)
+        got = word_lists(index, index.top_k(queries, k, exclude))
         expected = [
             oracle.top_k(q, k, {index.words[j] for j in ex}) for q, ex in zip(queries, exclude)
         ]
@@ -175,10 +225,10 @@ class TestFloatMaps:
         index = _NeighborIndex(row_tokens(60), matrix)
         queries = matrix[::2] + matrix[1::2]
         exclude = np.arange(60).reshape(30, 2)
-        whole = index.top_k(queries, 10, exclude)
+        whole = word_lists(index, index.top_k(queries, 10, exclude))
         for rows in (1, 3, 7):
             monkeypatch.setattr(evaluator, "_BLOCK_ROWS", rows)
-            assert index.top_k(queries, 10, exclude) == whole
+            assert word_lists(index, index.top_k(queries, 10, exclude)) == whole
 
 
 class TestFloat32Index:
@@ -201,7 +251,7 @@ class TestFloat32Index:
         query = [5000, 1]
         expected = exact_top_k(rows.tolist(), row_tokens(2), query, 2, set())
         assert expected == ["w001", "w000"]
-        assert index.top_k(np.array([query]), 2, np.zeros((1, 0), dtype=np.intp)) == [expected]
+        assert word_lists(index, index.top_k(np.array([query]), 2, np.zeros((1, 0), dtype=np.intp))) == [expected]
 
     @pytest.mark.parametrize("block_rows", [1, 5, 128])
     def test_large_integer_codes_match_the_exact_oracle(self, monkeypatch, block_rows):
@@ -214,7 +264,7 @@ class TestFloat32Index:
         exclude = rng.integers(0, 40, size=(len(queries), 2))
         index = _NeighborIndex(row_tokens(40), rows.astype(np.int16))
         monkeypatch.setattr(evaluator, "_BLOCK_ROWS", block_rows)
-        got = index.top_k(queries, 5, exclude)
+        got = word_lists(index, index.top_k(queries, 5, exclude))
         tokens = row_tokens(40)
         assert got == [exact_top_k(rows.tolist(), tokens, q, 5, set(ex)) for q, ex in zip(queries.tolist(), exclude)]
 
@@ -227,11 +277,11 @@ class TestFloat32Index:
         queries = np.vstack([rng.standard_normal((100, 16)), codes[:50] + 0.5, codes[:50]])
         exclude = rng.integers(0, 200, size=(len(queries), 2))
         monkeypatch.setattr(evaluator, "_BLOCK_ROWS", block_rows)
-        assert narrow.top_k(queries, 10, exclude) == wide.top_k(queries, 10, exclude)
+        assert word_lists(narrow, narrow.top_k(queries, 10, exclude)) == word_lists(wide, wide.top_k(queries, 10, exclude))
         # equal cosines in float32, 1 + 2**-30 rounding to 1: the query is
         # nearer w001 in float64, and a float32 tie would go to w000
         two = _NeighborIndex(row_tokens(2), np.array([[0, 1], [1, 0]], dtype=np.int8))
-        assert two.top_k(np.array([[1 + 2**-30, 1.0]]), 2, np.zeros((1, 0), dtype=np.intp)) == [
+        assert word_lists(two, two.top_k(np.array([[1 + 2**-30, 1.0]]), 2, np.zeros((1, 0), dtype=np.intp))) == [
             ["w001", "w000"]
         ]
 
@@ -353,5 +403,5 @@ class TestRowOrder:
     def test_ties_break_by_token_not_row(self):
         # equal rows: every search ties, and the smaller token must come first
         index = _NeighborIndex(["c", "a", "d", "b"], np.ones((4, 2)))
-        assert index.top_k(np.ones((1, 2)), 4, np.zeros((1, 0), dtype=np.intp)) == [["a", "b", "c", "d"]]
-        assert index.own_top_k(2)[index.row["d"]] == ["a", "b"]
+        assert word_lists(index, index.top_k(np.ones((1, 2)), 4, np.zeros((1, 0), dtype=np.intp))) == [["a", "b", "c", "d"]]
+        assert word_lists(index, index.own_top_k(2))[index.row["d"]] == ["a", "b"]

@@ -21,6 +21,7 @@ from word2spike.spike_codec import (
     ConfigError,
     RateVector,
     SpikeRaster,
+    _lossless_counts,
     _read_config,
     decode,
     generate_raster,
@@ -360,10 +361,17 @@ class TestDeferredTimes:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_roundtrip_generates_one_raster_per_word(self, random_set, mode):
-        # one generate_raster call per word, with the rates rates_from_ternary gives
+        # stochastic: one generate_raster call per word, with the rates
+        # rates_from_ternary gives; lossless: one call, on the rates of the
+        # three levels -1, 0 and +1
         cfg = CodecConfig(mode=mode, seed=3)
         with mock.patch.object(spike_codec, "generate_raster", wraps=generate_raster) as spy:
             result = roundtrip(random_set, cfg)
+        if mode == "lossless":
+            ((rates, call_cfg),) = [call.args for call in spy.call_args_list]
+            assert call_cfg == cfg
+            assert rates.rates_hz.tolist() == [cfg.rate_minus_hz, 0.0, cfg.rate_plus_hz]
+            return
         assert spy.call_count == len(random_set.words)
         for i, call in enumerate(spy.call_args_list):
             rates, call_cfg = call.args
@@ -438,7 +446,41 @@ class TestEstimateAndDecode:
         assert np.array_equal(decode(stochastic, cfg).values, decode(rebuilt, cfg).values)
 
 
+# round(lambda-) = 15 = k* - 1, the largest -1 count lossless mode takes
+LOSSLESS_EDGE = CodecConfig(window_s=0.2, rate_minus_hz=75.0, threshold_hz=76.0, rate_plus_hz=100.0,
+                            mode="lossless")
+
+
+def per_word_roundtrip(es, cfg):
+    """The decoded codes and matches of roundtrip, one raster per word:
+    generate_raster on the word's rates, then decode."""
+    codes = quantize_all(es).values
+    decoded = np.array([
+        decode(generate_raster(rates_from_ternary(row, cfg), cfg, stream_id=i), cfg).values
+        for i, row in enumerate(codes)
+    ], dtype=np.int8).reshape(codes.shape)
+    return decoded, np.all(decoded == codes, axis=1)
+
+
 class TestRoundtrip:
+    @pytest.mark.parametrize("cfg", [
+        dataclasses.replace(PRESETS["paper-200ms"], mode="lossless"),
+        dataclasses.replace(PRESETS["paper-400ms"], mode="lossless"),
+        LOSSLESS_EDGE,
+        CodecConfig(seed=7),
+        dataclasses.replace(PRESETS["paper-400ms"], seed=8),
+    ], ids=["paper-200ms-lossless", "paper-400ms-lossless", "lossless-edge", "paper-200ms-stochastic",
+            "paper-400ms-stochastic"])
+    def test_equals_the_per_word_oracle(self, random_set, cfg):
+        if cfg is LOSSLESS_EDGE:
+            assert _lossless_counts(np.array([cfg.lambda_minus])).item() == cfg.count_threshold - 1
+        decoded, matches = per_word_roundtrip(random_set, cfg)
+        result = roundtrip(random_set, cfg)
+        assert result.decoded.values.dtype == np.int8
+        assert result.decoded.values.tobytes() == decoded.tobytes()
+        assert np.array_equal(result.matches, matches)
+        assert matches.all() or cfg.mode == "stochastic"
+
     def test_lossless_identity(self, random_set):
         result = roundtrip(random_set, CodecConfig(mode="lossless"))
         assert result.matches.all()
@@ -663,6 +705,14 @@ def raster_records(draw):
     return rasters
 
 
+def utf8_encodable(word):
+    try:
+        word.encode()
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def reference_counts_csv(path, words, rasters):
     """The per-row writer that write_counts_csv must reproduce byte for byte."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -828,7 +878,16 @@ class TestSerialization:
     def test_counts_csv_bytes_match_reference(self, tmp_path_factory, records, block):
         words, rasters = records
         folder = tmp_path_factory.mktemp("csv")
+        unencodable = [w for w in words if not utf8_encodable(w)]
         with mock.patch.object(spike_codec, "_BLOCK_SPIKES", block):
+            if unencodable:
+                # a lone surrogate: refused, naming the first such word,
+                # before the file is created
+                message = f"word {unencodable[0]!r}: UTF-8 cannot encode it"
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    write_counts_csv(str(folder / "c.csv"), words, rasters)
+                assert not (folder / "c.csv").exists()
+                return
             write_counts_csv(str(folder / "c.csv"), words, rasters)
         reference_counts_csv(str(folder / "ref.csv"), words, rasters)
         assert (folder / "c.csv").read_bytes() == (folder / "ref.csv").read_bytes()
