@@ -113,14 +113,20 @@ def ternary_searches(draw):
 @st.composite
 def bound_searches(draw):
     """Searches at the edges of _rank's bound on the k-th score: n about
-    _GROUPS_PER_K * k * 2 words, where the column groups reach a width of
-    2 and replace the full-row partition, or twice that; k above n; rows
-    with fewer than k finite scores, through zero-norm rows and
+    _GROUPS_PER_K * k words, below which every column is its own group
+    and above which the last group is the widest, or about twice that,
+    where the groups reach a width of 2, or an odd n beyond; k above n;
+    rows with fewer than k finite scores, through zero-norm rows and
     exclusions; and ternary codes of few dimensions, which tie often at
     the k-th place."""
     k = draw(st.integers(1, 4))
-    edge = evaluator._GROUPS_PER_K * k * 2
-    n = draw(st.one_of(st.integers(edge - 2, edge + 2), st.just(2 * edge + 1), st.integers(1, k)))
+    edge = evaluator._GROUPS_PER_K * k
+    n = draw(st.one_of(
+        st.integers(max(1, edge - 2), edge + 2),
+        st.integers(2 * edge - 2, 2 * edge + 2),
+        st.just(4 * edge + 1),
+        st.integers(1, k),
+    ))
     dim = draw(st.integers(1, 3))
     codes = st.lists(st.integers(-1, 1), min_size=dim, max_size=dim)
     rows = draw(st.lists(codes, min_size=n, max_size=n))
