@@ -216,9 +216,10 @@ class _NeighborIndex:
         return l1 * max(self.max_abs, 1) < _FLOAT32_EXACT
 
     def _rank(self, scores: np.ndarray, top: np.ndarray) -> None:
-        """Write into each row of ``top``, of k <= n columns, the columns of
-        its row of ``scores`` with the k largest finite scores, ordered by
-        (-score, token); a row with fewer finite scores keeps the rest."""
+        """Write into each row of ``top``, of 1 <= k <= n columns, the
+        columns of its row of ``scores`` with the k largest finite scores,
+        ordered by (-score, token); a row with fewer finite scores keeps
+        the rest."""
         k = top.shape[1]
         # min(_GROUPS_PER_K * k, n) >= k disjoint groups; k of them hold a
         # score at least the k-th largest of their maxima, so at least k
