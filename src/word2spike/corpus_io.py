@@ -138,10 +138,11 @@ def _blocks(items, size, limit: int):
 
 
 def _header(line: str) -> tuple[int, int] | None:
-    """The ``count dim`` of an embedding file's first line, if it is one."""
+    """The ``count dim`` of an embedding file's first line, if it is one.
+    No header declares 0 dimensions, so ``7 0`` is a word and its value."""
     parts = line.split()
     # str.isdigit() holds for "²" too, which int() cannot read
-    if len(parts) == 2 and all(tok.isascii() and tok.isdigit() for tok in parts):
+    if len(parts) == 2 and all(tok.isascii() and tok.isdigit() for tok in parts) and int(parts[1]) >= 1:
         return int(parts[0]), int(parts[1])
     return None
 
@@ -186,10 +187,10 @@ def load_embeddings(path: str, lowercase: bool = False) -> EmbeddingSet:
     """Load a text embedding file.
 
     Each data line is ``token v1 v2 ... vn``, after an optional first line
-    ``count dim``.  Dimensionality must be consistent; duplicate tokens and
-    non-finite values are rejected.  Lines end at ``\n``, ``\r`` or
-    ``\r\n`` only; any other Unicode line break inside a line separates
-    tokens like a space.
+    ``count dim`` with dim at least 1.  Dimensionality must be consistent;
+    duplicate tokens and non-finite values are rejected.  Lines end at
+    ``\n``, ``\r`` or ``\r\n`` only; any other Unicode line break inside a
+    line separates tokens like a space.
 
     Lines are read in blocks of about _BLOCK_CHARS characters.  A block of
     plain lines is parsed by one ``np.loadtxt`` call, and any other block

@@ -126,9 +126,13 @@ class _NeighborIndex:
     |row|**2`` of the dot product ``d``, which ranks as the cosine does and
     is exact for ternary rows and integer queries.
 
-    An integer matrix whose every |entry| is below 2**24, such as the int8
-    ternary codes, is held as float32, half the bytes of float64; any
-    other matrix is held as float64.  ``sq_norms`` are float64 either way.
+    An (n, d) integer matrix with ``3 * d * max|entry|**2 < 2**24``, such
+    as the int8 ternary codes, is held as float32, half the bytes of
+    float64; any other matrix is held as float64.  The bound covers the
+    product of a row with any sum of at most three rows, the queries the
+    program sends (the rows themselves and 3CosAdd targets b - a + c, in
+    the matrix's dtype): every partial sum is an integer below 2**24, so
+    every float32 product is exact.  ``sq_norms`` are float64 either way.
     """
 
     def __init__(self, words, matrix: np.ndarray):
@@ -137,12 +141,10 @@ class _NeighborIndex:
         self.words = tuple(words)
         self.row = {w: i for i, w in enumerate(self.words)}
         matrix = np.asarray(matrix)
-        # the largest |entry| of an integer matrix, else None
-        self.max_abs = (
-            max(-int(matrix.min(initial=0)), int(matrix.max(initial=0)))
-            if np.issubdtype(matrix.dtype, np.integer) else None
+        small = np.issubdtype(matrix.dtype, np.integer) and (
+            3 * matrix.shape[1] * max(-int(matrix.min(initial=0)), int(matrix.max(initial=0))) ** 2
+            < _FLOAT32_EXACT
         )
-        small = self.max_abs is not None and self.max_abs < _FLOAT32_EXACT
         self.matrix = np.asarray(matrix, dtype=np.float32 if small else np.float64)
         # each row's place in token order (the inverse of the sorting
         # permutation), the last ranking key
@@ -170,50 +172,30 @@ class _NeighborIndex:
         best first, padded at its end with -1 where the vocabulary runs out
         (a zero query has no neighbour, so its row is all -1).
 
-        A float32 index multiplies a block of queries in float32 when the
-        queries are integers and the block's largest L1 norm times the
-        index's largest |entry| is below 2**24: every partial sum is then an
-        integer below 2**24, exact in float32 whatever the order of the
-        sums.  Any other block is multiplied in float64.  A float32 product
-        is widened to float64 in the multiply that forms the key, so scores
-        do not depend on which product made them.
+        Each block takes the one product numpy's promotion gives: a float32
+        index multiplies queries of its own dtype in float32, exact under
+        the bound it was built with, and float64 or int64 queries in
+        float64.  The product is widened to float64 before the key.
         """
         queries = np.asarray(queries)
         sq_norms = np.where(self.zero_norm, 1.0, self.sq_norms)
-        wide = self.matrix if self.matrix.dtype == np.float64 else None
         top = np.full((len(queries), k), -1, dtype=np.intp)
         for lo in range(0, len(queries), _BLOCK_ROWS):
             block = queries[lo : lo + _BLOCK_ROWS]
+            scores = (block @ self.matrix.T).astype(np.float64, copy=False)
             # d * |d| / |row|**2 ranks as d / |row| does.  For ternary rows
             # (|row|**2 <= dim) and integer queries with sum|q| * dim < 2**26
             # it is exact and order-faithful in float64: d and d**2 are exact
             # integers, and two distinct keys differ by at least 1 / dim**2,
-            # more than rounding can close, so ties are true ties
-            if wide is None and self._exact_in_float32(block):
-                product = block.astype(np.float32) @ self.matrix.T
-                scores = np.multiply(product, np.abs(product), dtype=np.float64)
-            else:
-                if wide is None:
-                    # made once per call, and only for queries float32 would round
-                    wide = self.matrix.astype(np.float64)
-                scores = block.astype(np.float64, copy=False) @ wide.T
-                # in place: a third block-sized array would raise the peak
-                scores *= np.abs(scores)
+            # more than rounding can close, so ties are true ties.  In
+            # place: a third block-sized array would raise the peak
+            scores *= np.abs(scores)
             scores /= sq_norms
             scores[:, self.zero_norm] = -np.inf
             scores[~block.any(axis=1)] = -np.inf
             scores[np.arange(len(block))[:, None], exclude[lo : lo + _BLOCK_ROWS]] = -np.inf
             self._rank(scores, top[lo : lo + _BLOCK_ROWS, : len(self.words)])
         return top
-
-    def _exact_in_float32(self, block: np.ndarray) -> bool:
-        """Whether ``block @ matrix.T`` is exact in float32: integer queries
-        whose L1 norms times the largest |entry| (at least 1, so that every
-        query entry is itself exact) stay below 2**24."""
-        if not np.issubdtype(block.dtype, np.integer) and not (np.rint(block) == block).all():
-            return False
-        l1 = np.abs(block, dtype=np.float64).sum(axis=1).max(initial=0.0)
-        return l1 * max(self.max_abs, 1) < _FLOAT32_EXACT
 
     def _rank(self, scores: np.ndarray, top: np.ndarray) -> None:
         """Write into each row of ``top``, of 1 <= k <= n columns, the

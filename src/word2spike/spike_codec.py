@@ -608,10 +608,11 @@ def write_raster_jsonl(path: str, words, rasters) -> None:
     no spaces, the window written as json.dumps writes
     ``round(window_s * 1000, 6)`` and each time as it writes the float
     ``np.round(t * 1000, 3)``.  Before the file is opened, ValueError
-    names a record the reader would refuse, or whose written window
-    decode would not take for the raster's.  Raises ValueError naming the
-    word for a negative or non-finite time, or one that rounds to 1e9 ms
-    or more.
+    names a record the reader would refuse (a word UTF-8 cannot encode,
+    such as a lone surrogate, included), or whose written window decode
+    would not take for the raster's.  Raises ValueError naming the word
+    for a negative or non-finite time, or one that rounds to 1e9 ms or
+    more.
     """
     records, seen = [], {}
     for n, (word, raster) in enumerate(_records(words, rasters), start=1):
@@ -689,8 +690,8 @@ def _format_records(block) -> bytes:
 
 def read_raster_jsonl(path: str) -> tuple[list[str], list[SpikeRaster]]:
     """Read a raster export back; every record must have a distinct word
-    that is one whitespace-free token, and the same nonzero number of
-    dimensions.
+    that is one whitespace-free token UTF-8 can encode, and the same
+    nonzero number of dimensions.
 
     Lines are read in blocks.  A block whose trains are all in the form
     ``write_raster_jsonl`` writes is parsed with array operations, and
@@ -730,6 +731,7 @@ def _check_head(head, seen: dict, where: str) -> tuple[str, float]:
     # decoded codes are written as "word v1 ... vn" lines
     if not isinstance(word, str) or word.split() != [word]:
         raise ValueError(f"word must be one token without whitespace, got {word!r}")
+    _check_utf8(word)
     window_ms = head["window_ms"]
     # exact types again: float() would take "200" and true
     if type(window_ms) not in (int, float) or not 0 < window_ms < math.inf:
@@ -738,6 +740,15 @@ def _check_head(head, seen: dict, where: str) -> tuple[str, float]:
         raise ValueError(f"word {word!r} repeats {seen[word]}")
     seen[word] = where
     return word, float(window_ms) / 1000.0
+
+
+def _check_utf8(word: str) -> None:
+    """ValueError naming a word that UTF-8 cannot encode, such as one
+    holding a lone surrogate: no output file could hold it."""
+    try:
+        word.encode()
+    except UnicodeEncodeError:
+        raise ValueError(f"word {word!r}: UTF-8 cannot encode it") from None
 
 
 def _parse_record(line: str) -> tuple[dict, np.ndarray, np.ndarray]:
@@ -880,10 +891,7 @@ def write_counts_csv(path: str, words, rasters) -> None:
     word that UTF-8 cannot encode, such as a lone surrogate."""
     records = _records(words, rasters)
     for word in words:
-        try:
-            word.encode()
-        except UnicodeEncodeError:
-            raise ValueError(f"word {word!r}: UTF-8 cannot encode it") from None
+        _check_utf8(word)
     # writerow returns what its file's write returns: here the row's text
     csv_row = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
     with open(path, "wb") as fh:

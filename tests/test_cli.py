@@ -176,6 +176,17 @@ class TestEncodeCmd:
                      "--out-dir", str(tmp_path / "e")]) == 0
         assert "encoded 2 words, 2 wordlist misses" in capsys.readouterr().out
 
+    def test_one_dimension_digit_words_round_trip(self, tmp_path):
+        # absmean codes of one dimension are all 0, so quantize writes "7 0"
+        # first, which is a word and its code, not a header of dim 0
+        emb = write_lines(tmp_path / "e.txt", ["7 0.5", "8 -0.3"])
+        q, e = str(tmp_path / "q"), str(tmp_path / "e")
+        assert main(["quantize", "--embeddings", emb, "--out-dir", q]) == 0
+        assert read(os.path.join(q, "ternary.txt")) == "7 0\n8 0\n"
+        assert main(["encode", "--ternary", os.path.join(q, "ternary.txt"), "--mode", "lossless",
+                     "--out-dir", e, "--counts"]) == 0
+        assert read(os.path.join(e, "counts.csv")) == "7,0\n8,0\n"
+
     @pytest.mark.parametrize("flag", ["--embeddings", "--wordlist", "--lowercase"])
     def test_ternary_rejects_corpus_flags(self, tmp_path, emb_file, capsys, flag):
         qdir, out = str(tmp_path / "q"), tmp_path / "e"

@@ -149,6 +149,14 @@ class TestLoadEmbeddings:
         with pytest.raises(CorpusFormatError, match=f"^{path}:2: line has 3 values, expected 1$"):
             load_embeddings(path)
 
+    # no header declares 0 dimensions
+    @pytest.mark.parametrize("first", ["7 0", "0 0"])
+    def test_a_count_0_line_is_data_not_a_header(self, tmp_path, first):
+        path = write_lines(tmp_path / "e.txt", [first, "8 -1"])
+        es = load_embeddings(path)
+        assert es.words == (first.split()[0], "8")
+        assert np.array_equal(es.vectors, [[0.0], [-1.0]])
+
     def test_lowercase_folding(self, tmp_path):
         path = write_lines(tmp_path / "e.txt", ["Cat 1 2"])
         assert load_embeddings(path, lowercase=True).words == ("cat",)

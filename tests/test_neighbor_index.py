@@ -247,17 +247,29 @@ class TestFloat32Index:
         wide = _NeighborIndex(row_tokens(2), np.array([[2**24, 0], [0, 1]], dtype=np.int32))
         assert wide.matrix.dtype == np.float64
 
-    def test_products_past_2_24_are_multiplied_in_float64(self):
-        # d = 5000 * 4096 +- 1; float32 spaces integers 2 apart above 2**24,
-        # so both products would round to 20480000 and tie, and the tie
-        # would go to w000
-        rows = np.array([[4096, -1], [4096, 1]], dtype=np.int16)
-        index = _NeighborIndex(row_tokens(2), rows)
-        assert index.matrix.dtype == np.float32
-        query = [5000, 1]
-        expected = exact_top_k(rows.tolist(), row_tokens(2), query, 2, set())
-        assert expected == ["w001", "w000"]
-        assert word_lists(index, index.top_k(np.array([query]), 2, np.zeros((1, 0), dtype=np.intp))) == [expected]
+    @pytest.mark.parametrize("max_abs, dtype", [(2364, np.float32), (2365, np.float64)], ids=["float32", "float64"])
+    def test_the_product_bound_picks_the_number_format(self, max_abs, dtype):
+        # one dimension: 3 * 2364**2 = 2**24 - 11728 and 3 * 2365**2 =
+        # 2**24 + 2459.  The 3CosAdd target w003 - w000 + w003 = 3 * max_abs
+        # has equal cosines to w001 .. w003, a tie that goes to w001; at
+        # 2365 a float32 product would round 3 * 2365**2 up to an even
+        # integer and put w003 first
+        rows = np.array([[-max_abs], [1], [max_abs - 1], [max_abs]], dtype=np.int16)
+        index = _NeighborIndex(row_tokens(4), rows)
+        assert index.matrix.dtype == dtype
+        queries = index.matrix[[3, 3, 1]] - index.matrix[[0, 2, 0]] + index.matrix[[3, 1, 2]]
+        nothing = np.zeros((3, 0), dtype=np.intp)
+        expected = [exact_top_k(rows.tolist(), row_tokens(4), q, 4, set()) for q in queries.astype(int).tolist()]
+        assert expected[0] == ["w001", "w002", "w003", "w000"]
+        assert word_lists(index, index.top_k(queries, 4, nothing)) == expected
+
+    def test_the_product_bound_on_ternary_codes(self):
+        # 3 * d = 2**24 - 1 at d = 5592405, the most dimensions held as
+        # float32, and 2**24 + 2 at one more (3 does not divide 2**24, so
+        # no matrix meets the bound exactly)
+        d = (2**24 - 1) // 3
+        assert _NeighborIndex(["a"], np.ones((1, d), dtype=np.int8)).matrix.dtype == np.float32
+        assert _NeighborIndex(["a"], np.ones((1, d + 1), dtype=np.int8)).matrix.dtype == np.float64
 
     @pytest.mark.parametrize("block_rows", [1, 5, 128])
     def test_large_integer_codes_match_the_exact_oracle(self, monkeypatch, block_rows):
@@ -290,6 +302,33 @@ class TestFloat32Index:
         assert word_lists(two, two.top_k(np.array([[1 + 2**-30, 1.0]]), 2, np.zeros((1, 0), dtype=np.intp))) == [
             ["w001", "w000"]
         ]
+
+
+class TestQueryPrecondition:
+    @pytest.mark.parametrize("cfg", [CodecConfig(mode="lossless"), CodecConfig(mode="stochastic", seed=1)],
+                             ids=["lossless", "stochastic"])
+    def test_float32_indices_get_integer_queries_of_their_dtype(self, random_set, monkeypatch, cfg):
+        # a float32 index is exact for queries in its dtype whose |entries|
+        # are at most 3 * max|entry|, the sums of up to three of its rows
+        searched = []
+        top_k = _NeighborIndex.top_k
+
+        def checked(index, queries, k, exclude):
+            if index.matrix.dtype == np.float32:
+                assert queries.dtype == index.matrix.dtype
+                assert np.array_equal(queries, np.rint(queries))
+                assert np.abs(queries).max(initial=0) <= 3 * np.abs(index.matrix).max(initial=0)
+                searched.append(len(queries))
+            return top_k(index, queries, k, exclude)
+
+        monkeypatch.setattr(_NeighborIndex, "top_k", checked)
+        words = random_set.words
+        pairs = [SimilarityPair(words[i], words[i + 3], float(i % 7)) for i in range(60)]
+        quads = [AnalogyQuad(*words[i : i + 4]) for i in range(0, 80, 4)]
+        full_report(random_set, cfg, pairs, quads)
+        # the analogy targets and the own top-10 rows of the quantized
+        # index, and of the spike index where its codes differ
+        assert searched == [20, 100] * (1 if cfg.mode == "lossless" else 2)
 
 
 class TestMemory:

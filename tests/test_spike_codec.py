@@ -657,6 +657,7 @@ BAD_RECORDS = {
     "non-list trains": '{"word":"b","window_ms":200.0,"trains":7}',
     "non-string word": '{"word":5,"window_ms":200.0,"trains":[[],[]]}',
     "word with whitespace": '{"word":"a b","window_ms":200.0,"trains":[[],[]]}',
+    "lone surrogate word": '{"word":"\\ud800","window_ms":200.0,"trains":[[1.0,2.0],[]]}',
     "repeated word": '{"word":"a","window_ms":200.0,"trains":[[],[]]}',
     "unequal dimension": '{"word":"b","window_ms":200.0,"trains":[[]]}',
     "NaN window": '{"word":"b","window_ms":NaN,"trains":[[],[]]}',
@@ -931,6 +932,9 @@ class TestSerialization:
             assert back_words == words
             assert [r.counts().tolist() for r in back] == [r.counts().tolist() for r in rasters]
             assert all(map(decode_takes, back, rasters))
+        # a word with a lone surrogate: no output file could hold it
+        if any(isinstance(w, str) and not utf8_encodable(w) for w in words):
+            assert refused
         # the reference writer checks nothing
         path.write_text(reference_jsonl(words, rasters), encoding="utf-8")
         try:
@@ -950,6 +954,19 @@ class TestSerialization:
             rows = list(csv.reader(fh))
         assert text.splitlines()[2] == "plain,20,0,10"
         assert rows == [[w, "20", "0", "10"] for w in words]
+
+    def test_words_utf8_cannot_encode_are_refused(self, tmp_path):
+        # JSON escapes a lone surrogate, so the record is valid JSON and
+        # the reader must refuse its word by name
+        path = tmp_path / "r.jsonl"
+        path.write_text(BAD_RECORDS["lone surrogate word"] + "\n", encoding="utf-8")
+        message = f"{path}:1: bad raster record: word '\\ud800': UTF-8 cannot encode it"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_raster_jsonl(str(path))
+        out = tmp_path / "out.jsonl"
+        with pytest.raises(ValueError, match=re.escape("record 2: word 'b\\udfff': UTF-8 cannot encode it")):
+            write_raster_jsonl(str(out), ["a", "b\udfff"], [raster_from_counts([1, 2])] * 2)
+        assert not out.exists()
 
     @pytest.mark.parametrize("bad", sorted(BAD_RECORDS))
     def test_malformed_record_names_line(self, tmp_path, bad):
