@@ -239,8 +239,13 @@ def cmd_decode(args) -> int:
     words, rasters = read_raster_jsonl(args.rasters)
     if not words:
         raise EmptyResultError(f"{args.rasters}: no raster records")
-    decoded = np.stack([decode(r, cfg).values for r in rasters])
-    ternary = TernarySet(tuple(words), decoded)
+    rows = []
+    for word, raster in zip(words, rasters):
+        try:
+            rows.append(decode(raster, cfg).values)
+        except ConfigError as exc:
+            raise ConfigError(f"{args.rasters}: word {word!r}: {exc}") from None
+    ternary = TernarySet(tuple(words), np.stack(rows))
     _publish(args, cfg, {"decoded.txt": lambda path: save_ternary(ternary, path)})
     print(f"decoded {len(words)} words -> {os.path.join(args.out_dir, 'decoded.txt')}")
     return EXIT_OK

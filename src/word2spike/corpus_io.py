@@ -2,13 +2,13 @@
 
 Handles the de-facto text embedding format (``token v1 v2 ... vn`` with an
 optional ``count dim`` header), SimLex-style TSV similarity files, analogy
-files (four tokens per line), and plain word lists.  All loaders reject
-malformed input loudly, with line numbers; nothing is silently dropped.
+files (four tokens per line), and plain word lists.  All loaders read
+their lines through ``_text_lines`` and reject malformed input loudly,
+with line numbers; nothing is silently dropped.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -110,6 +110,17 @@ def _parse_float(text: str, path: str, lineno: int) -> float:
     return value
 
 
+def _text_lines(path: str):
+    """(line number, line) for each line of the UTF-8 text file at ``path``
+    that holds more than whitespace.  A leading byte-order mark is dropped,
+    and lines end at ``\n``, ``\r`` or ``\r\n`` only, so a line's number
+    is the one a text editor shows."""
+    with open(path, encoding="utf-8-sig", newline=None) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.isspace():
+                yield lineno, line
+
+
 # lines are parsed in blocks of about this many characters
 _BLOCK_CHARS = 2**16
 
@@ -188,9 +199,8 @@ def load_embeddings(path: str, lowercase: bool = False) -> EmbeddingSet:
 
     Each data line is ``token v1 v2 ... vn``, after an optional first line
     ``count dim`` with dim at least 1.  Dimensionality must be consistent;
-    duplicate tokens and non-finite values are rejected.  Lines end at
-    ``\n``, ``\r`` or ``\r\n`` only; any other Unicode line break inside a
-    line separates tokens like a space.
+    duplicate tokens and non-finite values are rejected.  Any Unicode line
+    break but the three line ends separates tokens like a space.
 
     Lines are read in blocks of about _BLOCK_CHARS characters.  A block of
     plain lines is parsed by one ``np.loadtxt`` call, and any other block
@@ -200,60 +210,58 @@ def load_embeddings(path: str, lowercase: bool = False) -> EmbeddingSet:
     matrices: list[np.ndarray] = []
     seen: set[str] = set()
     dim: int | None = None
+    declared: tuple[int, int] | None = None
 
-    with open(path, encoding="utf-8", newline=None) as fh:
-        first = fh.readline()
-        declared = _header(first)
-        lines = enumerate(fh, start=2)
-        if declared is None:
-            lines = itertools.chain([(1, first)], lines)
-        for block in _blocks(lines, lambda item: len(item[1]), _BLOCK_CHARS):
-            # before the first row, a header's dim is the one to match
-            expected = declared[1] if dim is None and declared is not None else dim
-            parsed = _parse_plain_block([line for _, line in block], lowercase, seen, expected)
-            if parsed is not None:
-                tokens, values = parsed
-                dim = values.shape[1]
-                seen.update(tokens)
-                words.extend(tokens)
-                matrices.append(values)
+    for block in _blocks(_text_lines(path), lambda item: len(item[1]), _BLOCK_CHARS):
+        # a header can only be line 1, so only the first block holds one
+        if block[0][0] == 1 and (declared := _header(block[0][1])) is not None:
+            del block[0]
+            if not block:
                 continue
-            rows: list[list[float]] = []
-            for lineno, line in block:
-                parts = line.split()
-                if not parts:
-                    continue
-                if len(parts) < 2:
-                    raise CorpusFormatError(f"{path}:{lineno}: expected token and values")
-                token = parts[0].lower() if lowercase else parts[0]
-                if token in seen:
-                    raise CorpusFormatError(f"{path}:{lineno}: duplicate token {token!r}")
-                # a sum is finite unless a value is not (or the sum overflows), so
-                # only a line failing float() or the sum is parsed again, value by
-                # value, for the first error's message
-                try:
-                    values = list(map(float, parts[1:]))
-                    finite = math.isfinite(sum(values))
-                except ValueError:
-                    finite = False
-                if not finite:
-                    values = [_parse_float(v, path, lineno) for v in parts[1:]]
-                if dim is None:
-                    dim = len(values)
-                    if declared is not None and declared[1] != dim:
-                        raise CorpusFormatError(
-                            f"{path}:{lineno}: line has {dim} values but header declares "
-                            f"dim {declared[1]}"
-                        )
-                elif len(values) != dim:
+        # before the first row, a header's dim is the one to match
+        expected = declared[1] if dim is None and declared is not None else dim
+        parsed = _parse_plain_block([line for _, line in block], lowercase, seen, expected)
+        if parsed is not None:
+            tokens, values = parsed
+            dim = values.shape[1]
+            seen.update(tokens)
+            words.extend(tokens)
+            matrices.append(values)
+            continue
+        rows: list[list[float]] = []
+        for lineno, line in block:
+            parts = line.split()
+            if len(parts) < 2:
+                raise CorpusFormatError(f"{path}:{lineno}: expected token and values")
+            token = parts[0].lower() if lowercase else parts[0]
+            if token in seen:
+                raise CorpusFormatError(f"{path}:{lineno}: duplicate token {token!r}")
+            # a sum is finite unless a value is not (or the sum overflows), so
+            # only a line failing float() or the sum is parsed again, value by
+            # value, for the first error's message
+            try:
+                values = list(map(float, parts[1:]))
+                finite = math.isfinite(sum(values))
+            except ValueError:
+                finite = False
+            if not finite:
+                values = [_parse_float(v, path, lineno) for v in parts[1:]]
+            if dim is None:
+                dim = len(values)
+                if declared is not None and declared[1] != dim:
                     raise CorpusFormatError(
-                        f"{path}:{lineno}: line has {len(values)} values, expected {dim}"
+                        f"{path}:{lineno}: line has {dim} values but header declares "
+                        f"dim {declared[1]}"
                     )
-                seen.add(token)
-                words.append(token)
-                rows.append(values)
-            if rows:
-                matrices.append(np.array(rows, dtype=np.float64))
+            elif len(values) != dim:
+                raise CorpusFormatError(
+                    f"{path}:{lineno}: line has {len(values)} values, expected {dim}"
+                )
+            seen.add(token)
+            words.append(token)
+            rows.append(values)
+        if rows:
+            matrices.append(np.array(rows, dtype=np.float64))
 
     if not words:
         raise CorpusFormatError(f"{path}: no embedding rows found")
@@ -265,56 +273,49 @@ def load_embeddings(path: str, lowercase: bool = False) -> EmbeddingSet:
 
 
 def load_simlex(path: str, lowercase: bool = False) -> list[SimilarityPair]:
-    """Load a SimLex-999 style TSV with columns word1, word2, SimLex999.
-
-    Lines end at ``\n``, ``\r`` or ``\r\n`` only, so an error names the
-    line a text editor shows; any other Unicode line break stays inside
-    its column.
-    """
+    """Load a SimLex-999 style TSV whose first line names its columns,
+    among them word1, word2 and SimLex999; any Unicode line break but the
+    three line ends stays inside its column."""
     pairs = []
-    with open(path, encoding="utf-8", newline=None) as fh:
-        first = fh.readline()
-        if not first:
-            raise CorpusFormatError(f"{path}: empty file")
-        header = first.rstrip("\n").split("\t")
-        try:
-            i_a = header.index("word1")
-            i_b = header.index("word2")
-            i_s = header.index("SimLex999")
-        except ValueError as exc:
-            raise CorpusFormatError(
-                f"{path}: header must contain word1, word2 and SimLex999 columns"
-            ) from exc
-
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            cols = line.rstrip("\n").split("\t")
-            if len(cols) <= max(i_a, i_b, i_s):
-                raise CorpusFormatError(f"{path}:{lineno}: too few columns")
-            a, b = cols[i_a], cols[i_b]
-            if lowercase:
-                a, b = a.lower(), b.lower()
-            pairs.append(SimilarityPair(a, b, _parse_float(cols[i_s], path, lineno)))
+    columns = None
+    for lineno, line in _text_lines(path):
+        cols = line.rstrip("\n").split("\t")
+        if columns is None:
+            try:
+                columns = [cols.index(name) for name in ("word1", "word2", "SimLex999")]
+            except ValueError as exc:
+                raise CorpusFormatError(
+                    f"{path}: header must contain word1, word2 and SimLex999 columns"
+                ) from exc
+            continue
+        if len(cols) <= max(columns):
+            raise CorpusFormatError(f"{path}:{lineno}: too few columns")
+        a, b, score = (cols[i] for i in columns)
+        if lowercase:
+            a, b = a.lower(), b.lower()
+        score = _parse_float(score, path, lineno)
+        if a == b:
+            raise CorpusFormatError(f"{path}:{lineno}: similarity pair with identical words: {a!r}")
+        pairs.append(SimilarityPair(a, b, score))
+    if columns is None:
+        raise CorpusFormatError(f"{path}: empty file")
     return pairs
 
 
 def load_analogies(path: str, lowercase: bool = False) -> list[AnalogyQuad]:
     """Load analogy quads, one ``a b c d`` per line; ``:``/``#`` lines skipped."""
     quads = []
-    with open(path, encoding="utf-8", newline=None) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith((":", "#")):
-                continue
-            parts = stripped.split()
-            if len(parts) != 4:
-                raise CorpusFormatError(
-                    f"{path}:{lineno}: expected 4 tokens, got {len(parts)}"
-                )
-            if lowercase:
-                parts = [p.lower() for p in parts]
-            quads.append(AnalogyQuad(*parts))
+    for lineno, line in _text_lines(path):
+        parts = line.split()
+        if parts[0].startswith((":", "#")):
+            continue
+        if len(parts) != 4:
+            raise CorpusFormatError(
+                f"{path}:{lineno}: expected 4 tokens, got {len(parts)}"
+            )
+        if lowercase:
+            parts = [p.lower() for p in parts]
+        quads.append(AnalogyQuad(*parts))
     return quads
 
 
@@ -322,16 +323,13 @@ def load_wordlist(path: str, lowercase: bool = False) -> WordList:
     """Load one token per line; duplicates removed keeping first occurrence."""
     tokens: list[str] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8", newline=None) as fh:
-        for line in fh:
-            tok = line.strip()
-            if not tok:
-                continue
-            if lowercase:
-                tok = tok.lower()
-            if tok not in seen:
-                seen.add(tok)
-                tokens.append(tok)
+    for _, line in _text_lines(path):
+        tok = line.strip()
+        if lowercase:
+            tok = tok.lower()
+        if tok not in seen:
+            seen.add(tok)
+            tokens.append(tok)
     if not tokens:
         raise CorpusFormatError(f"{path}: empty word list")
     return WordList(tuple(tokens))

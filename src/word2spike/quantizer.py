@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus_io import CorpusFormatError, EmbeddingSet, _header, load_embeddings
+from .corpus_io import CorpusFormatError, EmbeddingSet, _header, _text_lines, load_embeddings
 
 
 def _ternary_codes(values) -> np.ndarray:
@@ -122,14 +122,12 @@ def _outside_message(path: str, es: EmbeddingSet) -> str:
     """The error for the first value of ``es`` outside {-1, 0, 1}, naming
     its line and token, found by reading the file at ``path`` again."""
     row, col = np.argwhere((es.vectors != -1) & (es.vectors != 0) & (es.vectors != 1))[0].tolist()
-    with open(path, encoding="utf-8", newline=None) as fh:
-        # the data lines, as load_embeddings reads them
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts or lineno == 1 and _header(line):
-                continue
-            if row == 0:
-                return f"{path}:{lineno}: values outside {{-1, 0, 1}}: {parts[1 + col]!r}"
-            row -= 1
+    # the data lines, as load_embeddings reads them
+    for lineno, line in _text_lines(path):
+        if lineno == 1 and _header(line):
+            continue
+        if row == 0:
+            return f"{path}:{lineno}: values outside {{-1, 0, 1}}: {line.split()[1 + col]!r}"
+        row -= 1
     # the file lost lines since it was read
     return f"{path}: values outside {{-1, 0, 1}}"

@@ -30,7 +30,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .corpus_io import _blocks
+from .corpus_io import _BLOCK_CHARS, _blocks, _text_lines
 from .quantizer import TernarySet, TernaryVector, _row_texts, quantize_all
 
 
@@ -142,28 +142,27 @@ _CONFIG_TYPES = {field.name: type(field.default) for field in fields(CodecConfig
 def _read_config(path: str) -> dict:
     """The keyword arguments a config file sets, typed for CodecConfig."""
     kwargs: dict = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = stripped.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in _CONFIG_TYPES:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in kwargs:
-                raise ConfigError(f"{path}:{lineno}: repeated key {key!r}")
-            kind = _CONFIG_TYPES[key]
-            try:
-                kwargs[key] = kind(value)
-            except ValueError:
-                raise ConfigError(f"{path}:{lineno}: {key} must be {kind.__name__}, got {value!r}") from None
-            try:
-                _check_setting(key, kwargs[key])
-            except ConfigError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from None
+    for lineno, line in _text_lines(path):
+        stripped = line.strip()
+        if stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, value = stripped.partition("=")
+        key, value = key.strip(), value.strip()
+        if key not in _CONFIG_TYPES:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in kwargs:
+            raise ConfigError(f"{path}:{lineno}: repeated key {key!r}")
+        kind = _CONFIG_TYPES[key]
+        try:
+            kwargs[key] = kind(value)
+        except ValueError:
+            raise ConfigError(f"{path}:{lineno}: {key} must be {kind.__name__}, got {value!r}") from None
+        try:
+            _check_setting(key, kwargs[key])
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
     return kwargs
 
 
@@ -702,25 +701,23 @@ def read_raster_jsonl(path: str) -> tuple[list[str], list[SpikeRaster]]:
     """
     words, rasters = [], []
     seen: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        lines = ((lineno, line) for lineno, line in enumerate(fh, start=1) if not line.isspace())
-        # a time and its comma take at least 4 characters, so the parsing
-        # arrays of a block of _BLOCK_SPIKES characters stay small
-        for block in _blocks(lines, lambda item: len(item[1]), _BLOCK_SPIKES):
-            parsed = _parse_block([line for _, line in block]) or [None] * len(block)
-            for (lineno, line), record in zip(block, parsed):
-                try:
-                    head, counts, spikes = record or _parse_record(line)
-                    word, window_s = _check_head(head, seen, f"line {lineno}")
-                    _check_dimensions(len(counts), len(rasters[0]) if rasters else len(counts))
-                    # the array path gives microsecond ticks, json float times
-                    raster = (SpikeRaster._deferred(window_s, counts, spikes) if record
-                              else SpikeRaster(window_s, spikes, counts))
-                # json.loads raises RecursionError on a deeply nested record
-                except (KeyError, ValueError, TypeError, OverflowError, RecursionError) as exc:
-                    raise ValueError(f"{path}:{lineno}: bad raster record: {exc}") from exc
-                words.append(word)
-                rasters.append(raster)
+    # a time and its comma take at least 4 characters, so the parsing
+    # arrays of a block of _BLOCK_CHARS characters stay small
+    for block in _blocks(_text_lines(path), lambda item: len(item[1]), _BLOCK_CHARS):
+        parsed = _parse_block([line for _, line in block]) or [None] * len(block)
+        for (lineno, line), record in zip(block, parsed):
+            try:
+                head, counts, spikes = record or _parse_record(line)
+                word, window_s = _check_head(head, seen, f"line {lineno}")
+                _check_dimensions(len(counts), len(rasters[0]) if rasters else len(counts))
+                # the array path gives microsecond ticks, json float times
+                raster = (SpikeRaster._deferred(window_s, counts, spikes) if record
+                          else SpikeRaster(window_s, spikes, counts))
+            # json.loads raises RecursionError on a deeply nested record
+            except (KeyError, ValueError, TypeError, OverflowError, RecursionError) as exc:
+                raise ValueError(f"{path}:{lineno}: bad raster record: {exc}") from exc
+            words.append(word)
+            rasters.append(raster)
     return words, rasters
 
 

@@ -21,7 +21,8 @@ from word2spike.quantizer import quantize_all
 from word2spike.spike_codec import CodecConfig, generate_raster, rates_from_ternary
 
 from conftest import write_lines
-from test_spike_codec import BAD_RECORDS, DEEP_RECORD, GOOD_RECORD, NO_DIMENSIONS
+from test_corpus_io import with_bom
+from test_spike_codec import BAD_RECORDS, DEEP_RECORD, GOOD_RECORD, NO_DIMENSIONS, writer_lines
 
 EMB = [
     "cat 1.0 0.2 -2.0 0.1",
@@ -226,6 +227,24 @@ class TestEncodeCmd:
         assert f"config error: {cfg}:{lineno}: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_ternary_with_bom_encodes_like_without(self, tmp_path, emb_file):
+        qdir = tmp_path / "q"
+        assert main(["quantize", "--embeddings", emb_file, "--out-dir", str(qdir)]) == 0
+        ternary = qdir / "ternary.txt"
+        for source, out in ((str(ternary), "plain"), (with_bom(ternary), "bom")):
+            assert main(["encode", "--ternary", source, "--mode", "lossless",
+                         "--out-dir", str(tmp_path / out)]) == 0
+        assert read(tmp_path / "bom" / "rasters.jsonl") == read(tmp_path / "plain" / "rasters.jsonl")
+
+    @pytest.mark.parametrize("header", ["", "2 3"], ids=["no-header", "header"])
+    def test_ternary_with_bom_names_the_line_of_a_value_outside(self, tmp_path, capsys, header):
+        path = tmp_path / "t.txt"
+        write_lines(path, [header, "a 1 0 -1", "", "b 0 0.5 1"])
+        for source in (str(path), with_bom(path)):
+            assert main(["encode", "--ternary", source, "--mode", "lossless",
+                         "--out-dir", str(tmp_path / "e")]) == 2
+            assert f"input error: {source}:4: values outside {{-1, 0, 1}}: '0.5'" in capsys.readouterr().err
+
     def test_unknown_plot_word_leaves_no_outputs(self, tmp_path, emb_file, capsys):
         out = tmp_path / "e"
         out.mkdir()
@@ -316,6 +335,17 @@ class TestDecodeCmd:
         assert f"r.jsonl:{lineno}: bad raster record: maximum recursion depth" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_window_mismatch_names_file_and_word_exit_4(self, tmp_path, capsys):
+        lines = writer_lines(20)
+        lines[5] = lines[5].replace('"window_ms":200.0', '"window_ms":300.0')
+        path = tmp_path / "r.jsonl"
+        path.write_text("".join(lines), encoding="utf-8")
+        out = tmp_path / "d"
+        assert main(["decode", "--rasters", str(path), "--out-dir", str(out)]) == 4
+        assert capsys.readouterr().err == (f"config error: {path}: word 'w5': raster window 0.3 s "
+                                           f"does not match config window 0.2 s\n")
+        assert not out.exists()
+
     def test_raster_without_dimensions_exit_2(self, tmp_path, capsys):
         path = tmp_path / "r.jsonl"
         path.write_text(NO_DIMENSIONS + "\n" + GOOD_RECORD + "\n", encoding="utf-8")
@@ -371,6 +401,19 @@ class TestAnalyzeCmd:
         cfg = write_lines(tmp_path / "codec.cfg", ["# codec", line])
         assert main(["analyze", "--config", cfg]) == 4
         assert f"config error: {cfg}:2: {message}" in capsys.readouterr().err
+
+    def test_config_file_with_bom_reads_like_without(self, tmp_path, capsys):
+        path = tmp_path / "codec.cfg"
+        write_lines(path, ["window_s = 0.4", "rate_plus_hz = 200", "rate_minus_hz = 25", "threshold_hz = 85"])
+        outputs = []
+        for cfg in (str(path), with_bom(path)):
+            assert main(["analyze", "--config", cfg]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] and outputs[0].startswith("window: 400 ms")
+        write_lines(path, ["", "window_s = 0.4", "seed = -1"])
+        for cfg in (str(path), with_bom(path)):
+            assert main(["analyze", "--config", cfg]) == 4
+            assert f"config error: {cfg}:3: seed must be a 64-bit unsigned integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [["analyze", "--rate-plus", "inf", "--threshold", "80"],
                                       ["encode", "--rate-plus", "inf", "--seed", "1"]],

@@ -323,6 +323,23 @@ class TestLoadSimlex:
         with pytest.raises(CorpusFormatError, match="SimLex999"):
             load_simlex(path)
 
+    @pytest.mark.parametrize("row, lowercase, word", [
+        ("W1\tW1\tA\t3.0\t1", False, "W1"),
+        ("W1\tw1\tA\t3.0\t1", True, "w1"),
+    ], ids=["same", "same-lowercased"])
+    def test_identical_words_name_their_line(self, tmp_path, row, lowercase, word):
+        path = write_lines(tmp_path / "s.tsv", [self.HEADER, "old\tnew\tA\t1.58\t2.72", row])
+        with pytest.raises(CorpusFormatError) as exc:
+            load_simlex(path, lowercase=lowercase)
+        assert str(exc.value) == f"{path}:3: similarity pair with identical words: {word!r}"
+
+    def test_header_is_first_line_with_more_than_whitespace(self, tmp_path):
+        path = write_lines(tmp_path / "s.tsv", [" ", self.HEADER, "", "W1\tw1\tA\t3.0\t1"])
+        assert [(p.word_a, p.word_b) for p in load_simlex(path)] == [("W1", "w1")]
+        path = write_lines(tmp_path / "s.tsv", ["\t", " "])
+        with pytest.raises(CorpusFormatError, match="empty file"):
+            load_simlex(path)
+
     # a file line ends at \n, \r or \r\n only, as in the other loaders, so
     # an error names the line an editor shows
     @pytest.mark.parametrize("brk", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
@@ -367,6 +384,75 @@ class TestLoadWordlist:
         path.write_text("")
         with pytest.raises(CorpusFormatError):
             load_wordlist(str(path))
+
+
+def with_bom(path):
+    """A copy of the file at ``path`` that starts with a UTF-8 byte-order mark."""
+    copy = path.with_name("bom-" + path.name)
+    copy.write_bytes("\ufeff".encode() + path.read_bytes())
+    return str(copy)
+
+
+def comparable(result):
+    return (result.words, result.vectors.tolist()) if isinstance(result, EmbeddingSet) else result
+
+
+class TestTextLines:
+    def test_numbers_every_line_and_yields_those_with_more_than_whitespace(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_bytes("\ufeffa\r\n \t\x0c\u3000\n\rb\x0bc\r\ufeffd".encode())
+        # only a leading mark is dropped; one inside the file is a character
+        assert list(corpus_io._text_lines(str(path))) == [(1, "a\n"), (4, "b\x0bc\n"), (5, "\ufeffd")]
+
+    READS = {
+        "embeddings": (load_embeddings, ["cat 1.0 0.5", "dog -1 2"]),
+        "embeddings with header": (load_embeddings, ["2 2", "cat 1.0 0.5", "dog -1 2"]),
+        "simlex": (load_simlex, ["word1\tword2\tSimLex999", "old\tnew\t1.58"]),
+        "analogies": (load_analogies, [": family", "man king woman queen"]),
+        "wordlist": (load_wordlist, ["the", "of"]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(READS))
+    def test_bom_reads_like_no_bom(self, tmp_path, name):
+        read, lines = self.READS[name]
+        path = tmp_path / "f.txt"
+        write_lines(path, lines)
+        assert comparable(read(with_bom(path))) == comparable(read(str(path)))
+
+    # each error is on a line after a blank one, which still counts
+    ERRORS = {
+        "embeddings": (load_embeddings, ["cat 1 2", "", "dog 1"], 3, "line has 1 values, expected 2"),
+        "embeddings with header": (load_embeddings, ["2 2", " ", "cat 1 x"], 3, "unparsable number 'x'"),
+        "simlex": (load_simlex, ["", "word1\tword2\tSimLex999", "\t", "a\tb\toops"], 4,
+                   "unparsable number 'oops'"),
+        "analogies": (load_analogies, [": family", "", "a b c"], 3, "expected 4 tokens, got 3"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(ERRORS))
+    def test_bom_keeps_error_line_numbers(self, tmp_path, name):
+        read, lines, lineno, message = self.ERRORS[name]
+        path = tmp_path / "f.txt"
+        write_lines(path, lines)
+        for target in (str(path), with_bom(path)):
+            with pytest.raises(CorpusFormatError) as exc:
+                read(target)
+            assert str(exc.value) == f"{target}:{lineno}: {message}"
+
+    @pytest.mark.parametrize("name", sorted(ERRORS))
+    def test_file_closed_when_reader_raises(self, tmp_path, monkeypatch, name):
+        opened = []
+
+        def tracking_open(*args, **kwargs):
+            opened.append(open(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(corpus_io, "open", tracking_open, raising=False)
+        read, lines, _, _ = self.ERRORS[name]
+        path = write_lines(tmp_path / "f.txt", lines)
+        with pytest.raises(CorpusFormatError) as exc:
+            read(path)
+        # closed while the traceback still holds the reader's frame
+        assert exc.traceback and len(opened) == 1 and opened[0].closed
 
 
 class TestRestrict:

@@ -1075,7 +1075,7 @@ class TestRasterReader:
         words = [f"w{i}" for i in range(len(rasters))]
         path = str(tmp_path_factory.mktemp("jsonl") / "r.jsonl")
         write_raster_jsonl(path, words, rasters)
-        with mock.patch.object(spike_codec, "_BLOCK_SPIKES", block):
+        with mock.patch.object(spike_codec, "_BLOCK_CHARS", block):
             assert outcome(read_raster_jsonl, path) == outcome(read_through_json, path)
         # the writer's own lines always take the array path
         with open(path, encoding="utf-8") as fh:
@@ -1085,7 +1085,7 @@ class TestRasterReader:
     def test_stochastic_file_matches_json_reference(self, tmp_path, block):
         path = tmp_path / "r.jsonl"
         path.write_text("".join(writer_lines(40)), encoding="utf-8")
-        with mock.patch.object(spike_codec, "_BLOCK_SPIKES", block):
+        with mock.patch.object(spike_codec, "_BLOCK_CHARS", block):
             assert outcome(read_raster_jsonl, str(path)) == outcome(read_through_json, str(path))
 
     @pytest.mark.parametrize("name", sorted(OTHER_RECORDS))
@@ -1105,11 +1105,28 @@ class TestRasterReader:
         path = str(tmp_path / "r.jsonl")
         write_raster_jsonl(path, ["a", "b"], rasters)
         # a block a line, so each line's ticks take their own type
-        with mock.patch.object(spike_codec, "_BLOCK_SPIKES", 1):
+        with mock.patch.object(spike_codec, "_BLOCK_CHARS", 1):
             _, back = read_raster_jsonl(path)
             assert outcome(read_raster_jsonl, path) == outcome(read_through_json, path)
         assert [r._source.dtype for r in back] == [np.uint64, np.uint32]
         assert [t.tolist() for t in trains(back[0])] == [[0.5], [4294.967295, 4294.967296, 4999.999999]]
+
+    # writer lines take the array path, and the json path is forced
+    @pytest.mark.parametrize("read", [read_raster_jsonl, read_through_json], ids=["array", "json"])
+    def test_bom_reads_like_no_bom(self, tmp_path, read):
+        lines = writer_lines(20)
+        plain, bom = tmp_path / "r.jsonl", tmp_path / "bom.jsonl"
+        plain.write_text("".join(lines), encoding="utf-8")
+        bom.write_text("\ufeff" + "".join(lines), encoding="utf-8")
+        assert outcome(read, str(bom)) == outcome(read, str(plain))
+        assert read(str(bom))[0][0] == "w0"
+        # an error after a blank line names the same line
+        lines[6] = "\n"
+        lines[11] = BAD_RECORDS["null time"] + "\n"
+        plain.write_text("".join(lines), encoding="utf-8")
+        bom.write_text("\ufeff" + "".join(lines), encoding="utf-8")
+        assert outcome(read, str(bom)) == outcome(read, str(plain)).replace("r.jsonl:12", "bom.jsonl:12")
+        assert "r.jsonl:12: bad raster record" in outcome(read, str(plain))
 
     def test_last_line_without_newline(self, tmp_path):
         path = tmp_path / "r.jsonl"
